@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchsmoke streambench spbench spbenchsmoke spbuild spbuildsmoke serverbench querybench clusterbench serve smoke clustersmoke fuzz allocgate ci
+.PHONY: all build vet test race bench benchsmoke benchtest streambench spbench spbenchsmoke spbuild spbuildsmoke serverbench querybench clusterbench serve smoke clustersmoke fuzz allocgate ci
 
 all: ci
 
@@ -26,15 +26,20 @@ bench:
 benchsmoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
+# The perf ledger's nested module (bench/, `bash bench/run.sh`): tier-1
+# never compiles it, yet it links against spindex, server, core and query.
+benchtest:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # The live session-ingest scenario (per-point push latency, sessions/s at
 # 1/2/4/8 feeders).
 streambench:
 	$(GO) run ./cmd/pressbench -fig streambench
 
-# The SP scenario: precompute-vs-mmap-open latency, lookup throughput heap
-# vs mapped, then the table-vs-contraction-hierarchy scaling race at
-# 1x/4x/16x with hard assertions (bit-identical answers everywhere;
-# >= 5x faster precompute and <= 10% of the table's memory at 16x).
+# The SP scenario: the all-pairs table vs the contraction hierarchy as the
+# network grows (1x/4x/16x), with hard assertions (bit-identical answers
+# everywhere; >= 5x faster precompute and <= 10% of the table's memory at
+# 16x).
 spbench:
 	$(GO) run ./cmd/pressbench -fig spbench
 
@@ -104,4 +109,4 @@ fuzz:
 allocgate:
 	./scripts/allocgate.sh
 
-ci: build vet race benchsmoke fuzz allocgate spbenchsmoke spbuildsmoke smoke clustersmoke
+ci: build vet race benchsmoke benchtest fuzz allocgate spbenchsmoke spbuildsmoke smoke clustersmoke

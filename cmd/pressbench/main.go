@@ -184,7 +184,7 @@ func main() {
 			return runStreamBenchScenario(env)
 		}},
 		{"spbench", func() error {
-			return runSPBenchScenario(env, *workers, *spscale)
+			return runSPBenchScenario(*workers, *spscale)
 		}},
 		{"spbuild", func() error {
 			return runSPBuildScenario(*spscale)
@@ -193,7 +193,7 @@ func main() {
 			return runServerBenchScenario(env, *workers)
 		}},
 		{"querybench", func() error {
-			return runQueryBenchScenario(env)
+			return runQueryBenchScenario(env, *workers)
 		}},
 		{"clusterbench", func() error {
 			return runClusterBenchScenario(env, *workers)
@@ -456,61 +456,16 @@ func runStreamBenchScenario(env *experiments.Env) error {
 	return nil
 }
 
-// runSPBenchScenario races the shortest-path implementations in two phases.
-//
-// Phase 1 (the original spbench, on the workload graph) measures what the
-// mmap'd all-pairs snapshot buys: the one-time cost of materializing the
-// table against the per-boot cost of mapping it back, then lookup
-// throughput heap vs mapped.
-//
-// Phase 2 is the scaling race: at 1x/4x/16x the default city (up to
-// -spscale) it builds the full table and the contraction hierarchy over the
-// same graph, spot-checks that their answers are bit-identical, and reports
-// precompute time, resident memory and lookup throughput side by side. The
-// run FAILS — not merely reports — if any sampled answer differs, if the
-// hierarchy ever builds slower than the table, or if at 16x the hierarchy
-// misses its headline targets (>= 5x faster precompute, <= 10% of the
-// table's memory): the O(|E|^2) barrier is an asserted property, not a
-// narrative.
-func runSPBenchScenario(env *experiments.Env, workers, spscale int) error {
-	g := env.DS.Graph
-	tab := spindex.NewTable(g)
-	t0 := time.Now()
-	tab.PrecomputeAllParallel(workers)
-	precompute := time.Since(t0)
-
-	dir, err := os.MkdirTemp("", "press-spbench")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "sp.snap")
-	t0 = time.Now()
-	if err := tab.SaveSnapshot(path); err != nil {
-		return err
-	}
-	save := time.Since(t0)
-	t0 = time.Now()
-	snap, err := spindex.OpenMapped(path, g)
-	if err != nil {
-		return err
-	}
-	defer snap.Close()
-	open := time.Since(t0)
-	if snap.CachedRows() != 0 {
-		return fmt.Errorf("spbench: mapped snapshot computed %d rows", snap.CachedRows())
-	}
-
-	fmt.Println("spbench: SP table build/open cost and lookup throughput, heap vs mapped")
-	fmt.Printf("%-24s %12s\n", "phase", "elapsed")
-	fmt.Printf("%-24s %12v   (%d rows, %d workers)\n", "precompute (heap)",
-		precompute.Round(time.Microsecond), tab.CachedRows(), workers)
-	fmt.Printf("%-24s %12v\n", "save snapshot", save.Round(time.Microsecond))
-	fmt.Printf("%-24s %12v   (no Dijkstra; CRC-validated)\n", "open (mapped)",
-		open.Round(time.Microsecond))
-	speedup := float64(precompute) / float64(open)
-	fmt.Printf("%-24s %11.0fx\n", "reopen speedup", speedup)
-
+// runSPBenchScenario is the table-vs-hierarchy scaling race: at 1x/4x/16x
+// the default city (up to -spscale) it builds the full all-pairs table and
+// the contraction hierarchy over the same graph, spot-checks that their
+// answers are bit-identical, and reports precompute time, resident memory
+// and lookup throughput side by side. The run FAILS — not merely reports —
+// if any sampled answer differs, if the hierarchy ever builds slower than
+// the table, or if at 16x the hierarchy misses its headline targets (>= 5x
+// faster precompute, <= 10% of the table's memory): the O(|E|^2) barrier is
+// an asserted property, not a narrative.
+func runSPBenchScenario(workers, spscale int) error {
 	// Lookup throughput: identical random probe sequences against both
 	// sources (Dist + SPEnd per probe, the compression hot path).
 	bench := func(sp spindex.SP, n, probes int) float64 {
@@ -526,14 +481,7 @@ func runSPBenchScenario(env *experiments.Env, workers, spscale int) error {
 		_ = sink
 		return float64(probes) / time.Since(t0).Seconds()
 	}
-	heapRate := bench(tab, g.NumEdges(), 2_000_000)
-	mappedRate := bench(snap, g.NumEdges(), 2_000_000)
-	fmt.Printf("\n%-24s %14s %14s\n", "source", "lookups/s", "resident bytes")
-	fmt.Printf("%-24s %14.0f %14d   (Go heap)\n", "Table (heap)", heapRate, tab.MemoryBytes())
-	fmt.Printf("%-24s %14.0f %14d   (page cache, shared)\n", "Snapshot (mapped)", mappedRate, snap.MappedBytes())
-	fmt.Printf("mapped/heap lookup ratio: %.2fx\n\n", mappedRate/heapRate)
 
-	// Phase 2: the table-vs-hierarchy scaling race.
 	var scales []int
 	for _, s := range []int{1, 4, 16} {
 		if s <= spscale {
@@ -759,6 +707,16 @@ func runSPBuildScenario(spscale int) error {
 	return nil
 }
 
+// bootMappedHier boots the SP source exactly like pressd -init: build the
+// contraction hierarchy, save its snapshot under dir, map it back.
+func bootMappedHier(g *roadnet.Graph, dir string, workers int) (*spindex.Hier, error) {
+	path := filepath.Join(dir, "sp.snap")
+	if err := spindex.NewHierWith(g, spindex.HierOptions{BuildWorkers: workers}).SaveSnapshot(path); err != nil {
+		return nil, err
+	}
+	return spindex.OpenHierMapped(path, g)
+}
+
 // runServerBenchScenario measures the pressd serving layer end to end over
 // loopback HTTP. Phase 1 races the ingest protocols: the environment's
 // fleet is streamed three times over fresh stores — chunked JSON (the debug
@@ -767,7 +725,7 @@ func runSPBuildScenario(spscale int) error {
 // and the points/s multiple of binary over JSON is reported. Phase 2 then
 // has 1/2/4/8 concurrent clients hammer GET /v1/whereat against the
 // bulk-fed store. The server boots the way pressd does — engine and
-// compressor over a memory-mapped SP snapshot (zero Dijkstra at open) — so
+// compressor over a memory-mapped hierarchy snapshot (no build at open) — so
 // the numbers include the full daemon stack: HTTP parsing, the concurrency
 // bound, session/store access and response encoding. On multi-core hardware
 // requests/s should scale with clients until the query engine, not the
@@ -775,28 +733,21 @@ func runSPBuildScenario(spscale int) error {
 func runServerBenchScenario(env *experiments.Env, workers int) error {
 	g := env.DS.Graph
 
-	// Boot exactly like pressd: precompute once, snapshot, map it back.
-	tab := spindex.NewTable(g)
-	tab.PrecomputeAllParallel(workers)
 	dir, err := os.MkdirTemp("", "press-serverbench")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	snapPath := filepath.Join(dir, "sp.snap")
-	if err := tab.SaveSnapshot(snapPath); err != nil {
-		return err
-	}
-	snap, err := spindex.OpenMapped(snapPath, g)
+	h, err := bootMappedHier(g, dir, workers)
 	if err != nil {
 		return err
 	}
-	defer snap.Close()
-	comp, err := core.NewCompressor(g, snap, env.CB, 100, 60)
+	defer h.Close()
+	comp, err := core.NewCompressor(g, h, env.CB, 100, 60)
 	if err != nil {
 		return err
 	}
-	eng, err := query.NewEngine(g, snap, env.CB)
+	eng, err := query.NewEngine(g, h, env.CB)
 	if err != nil {
 		return err
 	}
@@ -1048,21 +999,26 @@ func runServerBenchScenario(env *experiments.Env, workers int) error {
 // pruned by time before any payload work) — the protocol EXPERIMENTS.md
 // documents. The run fails if the /v1/stats counters show a full STR
 // rebuild, zero summary rejections, or zero in-place index updates.
-func runQueryBenchScenario(env *experiments.Env) error {
+func runQueryBenchScenario(env *experiments.Env, workers int) error {
 	g := env.DS.Graph
-	comp, err := env.Compressor(100, 60)
-	if err != nil {
-		return err
-	}
-	eng, err := query.NewEngine(g, env.Tab, env.CB)
-	if err != nil {
-		return err
-	}
 	dir, err := os.MkdirTemp("", "press-querybench")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
+	h, err := bootMappedHier(g, dir, workers)
+	if err != nil {
+		return err
+	}
+	defer h.Close()
+	comp, err := core.NewCompressor(g, h, env.CB, 100, 60)
+	if err != nil {
+		return err
+	}
+	eng, err := query.NewEngine(g, h, env.CB)
+	if err != nil {
+		return err
+	}
 	st, err := store.CreateSharded(filepath.Join(dir, "fleet"), 4)
 	if err != nil {
 		return err
@@ -1283,28 +1239,21 @@ func runQueryBenchScenario(env *experiments.Env) error {
 func runClusterBenchScenario(env *experiments.Env, workers int) error {
 	g := env.DS.Graph
 
-	// Boot exactly like pressd: precompute once, snapshot, map it back.
-	tab := spindex.NewTable(g)
-	tab.PrecomputeAllParallel(workers)
 	dir, err := os.MkdirTemp("", "press-clusterbench")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	snapPath := filepath.Join(dir, "sp.snap")
-	if err := tab.SaveSnapshot(snapPath); err != nil {
-		return err
-	}
-	snap, err := spindex.OpenMapped(snapPath, g)
+	h, err := bootMappedHier(g, dir, workers)
 	if err != nil {
 		return err
 	}
-	defer snap.Close()
-	comp, err := core.NewCompressor(g, snap, env.CB, 100, 60)
+	defer h.Close()
+	comp, err := core.NewCompressor(g, h, env.CB, 100, 60)
 	if err != nil {
 		return err
 	}
-	eng, err := query.NewEngine(g, snap, env.CB)
+	eng, err := query.NewEngine(g, h, env.CB)
 	if err != nil {
 		return err
 	}

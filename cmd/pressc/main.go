@@ -15,12 +15,12 @@
 // decompress only need to share those inputs — mirroring the paper's static
 // auxiliary structures.
 //
-// Every subcommand takes -snapshot path: the first invocation runs the
-// shortest-path preprocessing once and saves it there; every later
-// invocation memory-maps it back instead of recomputing (repeated CLI runs
-// over the same network pay the preprocessing cost once). -spmode selects
-// the implementation: the all-pairs table (snapshot) or the contraction
-// hierarchy (hier), whose answers are bit-identical at O(|E|) memory.
+// Shortest paths come from a contraction hierarchy over the network, whose
+// answers are bit-identical to the paper's all-pairs table at O(|E|)
+// memory. Every subcommand takes -snapshot path: the first invocation
+// builds the hierarchy once and saves it there; every later invocation
+// memory-maps it back instead of rebuilding (repeated CLI runs over the
+// same network pay the build once); -spworkers sets the build's goroutines.
 package main
 
 import (
@@ -59,7 +59,6 @@ func usage() {
 type common struct {
 	net, gps, train string
 	snapshot        string
-	spmode          string
 	spworkers       int
 	theta           int
 	tsnd, nstd      float64
@@ -72,8 +71,6 @@ func commonFlags(fs *flag.FlagSet) *common {
 	fs.StringVar(&c.train, "train", "data/trips.txt", "training paths file")
 	fs.StringVar(&c.snapshot, "snapshot", "",
 		"SP snapshot path: mmap it when valid, else build once and save it there (cache semantics)")
-	fs.StringVar(&c.spmode, "spmode", "",
-		"shortest-path implementation: table, snapshot or hier (empty = snapshot when -snapshot is set, else table)")
 	fs.IntVar(&c.spworkers, "spworkers", 0,
 		"goroutines for the hier contraction build (0 = GOMAXPROCS; output is identical at any count)")
 	fs.IntVar(&c.theta, "theta", 3, "max mined sub-trajectory length")
@@ -89,7 +86,6 @@ func buildSystem(c *common) (*press.System, *roadnet.Graph) {
 	cfg.Theta = c.theta
 	cfg.TSND, cfg.NSTD = c.tsnd, c.nstd
 	cfg.SPSnapshotPath = c.snapshot
-	cfg.SPMode = press.SPMode(c.spmode)
 	cfg.SPBuildWorkers = c.spworkers
 	sys, err := press.NewSystem(g, training, cfg)
 	if err != nil {

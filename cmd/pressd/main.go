@@ -5,7 +5,7 @@
 // enabling.
 //
 //	pressd -net network.txt -train trips.txt -snapshot sp.snap -store fleet/ \
-//	       [-init] [-spmode table|hier] [-spworkers N] [-addr :8321] [-shards 4] [-theta 3] \
+//	       [-init] [-spworkers N] [-addr :8321] [-shards 4] [-theta 3] \
 //	       [-tsnd 0] [-nstd 0] [-idle-flush 30s] [-max-session-bytes 1048576] \
 //	       [-max-concurrent 0] [-max-frame-bytes 1048576] [-drain-timeout 30s] \
 //	       [-cluster host0:8321,host1:8321 -node-index 0] [-checkpoint-every 0]
@@ -22,16 +22,14 @@
 // decode path allocates nothing per point; -max-frame-bytes caps a single
 // frame's payload.
 //
-// Cold start is a memory map, not a Dijkstra run: the daemon boots strictly
-// from the SP snapshot at -snapshot (zero shortest-path rows computed —
-// check sp.cached_rows in /v1/stats), so N worker processes over the same
-// file share one physical copy through the page cache. The format version
-// is dispatched automatically: a v1 file maps the all-pairs table, a v2
-// file maps the contraction hierarchy (same answers, O(|E|) memory). With
-// -init a missing or stale snapshot — including one of the wrong kind for
-// -spmode — is materialized once (the only mode that ever runs the
-// preprocessing) and then mapped back, so first boot and every later boot
-// go through the same serving path.
+// Cold start is a memory map, not a preprocessing run: the daemon boots
+// strictly from the contraction-hierarchy snapshot at -snapshot (no
+// contraction — sp.mapped in /v1/stats), so N worker processes over the
+// same file share one physical copy through the page cache. With -init a
+// missing or stale snapshot — damaged, written for another network, or
+// left over in a retired format — is materialized once (the only mode that
+// ever builds the hierarchy) and then mapped back, so first boot and every
+// later boot go through the same serving path.
 //
 // The fleet store at -store is created when absent (with -shards segment
 // files) and reopened — recovering per shard from any crash tail — when
@@ -53,7 +51,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -68,7 +65,6 @@ func main() {
 		netPath  = flag.String("net", "data/network.txt", "road network file")
 		train    = flag.String("train", "data/trips.txt", "training paths file")
 		snapshot = flag.String("snapshot", "sp.snap", "SP snapshot file to boot from")
-		spmode   = flag.String("spmode", "table", "SP implementation -init materializes: table (all-pairs, v1) or hier (contraction hierarchy, v2)")
 		spwork   = flag.Int("spworkers", 0, "goroutines for the hier contraction build (0 = GOMAXPROCS; output is identical at any count)")
 		init_    = flag.Bool("init", false, "materialize the snapshot if missing/stale, then boot from it")
 		storeDir = flag.String("store", "fleet", "sharded fleet store directory")
@@ -107,35 +103,17 @@ func main() {
 	cfg.TSND, cfg.NSTD = *tsnd, *nstd
 	cfg.SessionIdleFlush = *idle
 
-	var wantVersion uint32
-	switch *spmode {
-	case "table":
-		wantVersion = 1
-	case "hier":
-		wantVersion = 2
-	default:
-		fatal(fmt.Errorf("unknown -spmode %q (want table or hier)", *spmode))
-	}
-
 	t0 := time.Now()
-	// A snapshot of the wrong kind on disk — e.g. an all-pairs table where
-	// -spmode hier was requested — is stale the same way a corrupt one is:
-	// -init rewrites it, a plain boot serves whatever the file holds (the
-	// answers are identical either way; only the resource profile differs).
-	if *init_ {
-		if v, verr := spindex.SnapshotVersion(*snapshot); verr == nil && v != wantVersion {
-			fmt.Fprintf(os.Stderr, "pressd: snapshot %s is v%d, -spmode %s wants v%d; rematerializing\n",
-				*snapshot, v, *spmode, wantVersion)
-			materializeSnapshot(g, *snapshot, *spmode, *spwork)
-		}
-	}
 	sys, err := press.NewSystemFromSnapshot(g, training, *snapshot, cfg)
-	if err != nil && *init_ && snapshotCacheMiss(err) {
-		// Materialize the snapshot directly from the shortest-path source —
-		// no codebook training, which the strict boot below does exactly
-		// once — then retry the same serving path every later boot takes.
+	if err != nil && *init_ && spindex.IsCacheMiss(err) {
+		// Materialize the snapshot directly from the hierarchy build — no
+		// codebook training, which the strict boot below does exactly once —
+		// then retry the same serving path every later boot takes.
 		fmt.Fprintf(os.Stderr, "pressd: materializing SP snapshot at %s...\n", *snapshot)
-		materializeSnapshot(g, *snapshot, *spmode, *spwork)
+		h := spindex.NewHierWith(g, spindex.HierOptions{BuildWorkers: *spwork})
+		if err := h.SaveSnapshot(*snapshot); err != nil {
+			fatal(err)
+		}
 		sys, err = press.NewSystemFromSnapshot(g, training, *snapshot, cfg)
 	}
 	if err != nil {
@@ -166,9 +144,9 @@ func main() {
 	}
 
 	stats := sys.SPStats()
-	fmt.Printf("pressd: booted in %v: %d edges, SP %s/%s (%d cached rows, %d mapped bytes), store %q (%d records, %d shards)\n",
-		boot.Round(time.Millisecond), g.NumEdges(), stats.Kind, residency(stats.Mapped),
-		stats.CachedRows, stats.MappedBytes, *storeDir, st.Len(), st.Shards())
+	fmt.Printf("pressd: booted in %v: %d edges, SP %s mapped (%d bytes, %d cached rows), store %q (%d records, %d shards)\n",
+		boot.Round(time.Millisecond), g.NumEdges(), stats.Kind,
+		stats.MappedBytes, stats.CachedRows, *storeDir, st.Len(), st.Shards())
 
 	if clusterOpt.Nodes > 1 {
 		fmt.Printf("pressd: cluster node %d of %d (owning vehicles where hash(id) %% %d == %d)\n",
@@ -233,41 +211,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "pressd: clean exit")
-}
-
-// materializeSnapshot builds the requested shortest-path structure and saves
-// it at path: the parallel all-pair precompute for table mode (the only
-// path that ever runs it), the contraction hierarchy for hier mode.
-func materializeSnapshot(g *roadnet.Graph, path, mode string, workers int) {
-	switch mode {
-	case "hier":
-		h := spindex.NewHierWith(g, spindex.HierOptions{BuildWorkers: workers})
-		if err := h.SaveSnapshot(path); err != nil {
-			fatal(err)
-		}
-	default:
-		tab := spindex.NewTable(g)
-		tab.PrecomputeAllParallel(runtime.GOMAXPROCS(0))
-		if err := tab.SaveSnapshot(path); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// snapshotCacheMiss reports whether the strict open failed because the
-// snapshot is absent, damaged or written for another network — the cases
-// -init regenerates. Real I/O or permission failures are not papered over.
-func snapshotCacheMiss(err error) bool {
-	return errors.Is(err, os.ErrNotExist) ||
-		errors.Is(err, spindex.ErrBadSnapshot) ||
-		errors.Is(err, spindex.ErrSnapshotMismatch)
-}
-
-func residency(mapped bool) string {
-	if mapped {
-		return "mapped"
-	}
-	return "heap"
 }
 
 // openOrCreateStore reopens an existing sharded store (recovering crash

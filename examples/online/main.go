@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tab := spindex.NewTable(ds.Graph)
+	sp := spindex.NewHier(ds.Graph)
 
 	const tau, eta = 50.0, 30.0 // TSND meters, NSTD seconds
 
@@ -35,11 +35,11 @@ func main() {
 	var inEdges, outEdges, inTuples, outTuples int
 	for i, tr := range ds.Truth {
 		var spOut traj.Path
-		sp := core.NewOnlineSP(tab, func(e press.EdgeID) { spOut = append(spOut, e) })
+		osp := core.NewOnlineSP(sp, func(e press.EdgeID) { spOut = append(spOut, e) })
 		for _, e := range tr.Path {
-			sp.Push(e) // one call per road segment the vehicle enters
+			osp.Push(e) // one call per road segment the vehicle enters
 		}
-		sp.Flush()
+		osp.Flush()
 
 		var btcOut traj.Temporal
 		btc := core.NewOnlineBTC(tau, eta, func(p traj.Entry) { btcOut = append(btcOut, p) })
@@ -49,7 +49,7 @@ func main() {
 		btc.Flush()
 
 		// The stream must match the batch algorithms exactly.
-		if !spOut.Equal(core.SPCompress(tab, tr.Path)) {
+		if !spOut.Equal(core.SPCompress(sp, tr.Path)) {
 			log.Fatalf("trajectory %d: online SP diverged from batch", i)
 		}
 		batch := core.BTC(tr.Temporal, tau, eta)

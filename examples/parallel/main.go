@@ -2,7 +2,7 @@
 //
 //	go run ./examples/parallel
 //
-// Generates a synthetic fleet, precomputes the shortest-path table over a
+// Generates a synthetic fleet, builds the shortest-path hierarchy over a
 // worker pool, then ingests the raw GPS feed twice — serially and through
 // the streaming pipeline (match -> reformat -> HSC+BTC compress -> fleet
 // store) — and compares throughput. One deliberately broken trajectory
@@ -32,19 +32,17 @@ func main() {
 	fmt.Printf("city: %d intersections, %d road segments; fleet: %d trajectories\n",
 		ds.Graph.NumVertices(), ds.Graph.NumEdges(), len(ds.Raws))
 
-	// 2. Assemble the system. PrecomputeWorkers shards the all-pair
-	// shortest-path preprocessing (one line-graph Dijkstra per source edge)
-	// over the pool, so the compression hot path never pays for it.
+	// 2. Assemble the system. SPBuildWorkers runs the shortest-path
+	// preprocessing — the contraction-hierarchy build — over the pool.
 	cfg := press.DefaultConfig()
 	cfg.TSND, cfg.NSTD = 50, 30
-	cfg.PrecomputeShortestPaths = true
-	cfg.PrecomputeWorkers = workers
+	cfg.SPBuildWorkers = workers
 	t0 := time.Now()
 	sys, err := press.NewSystem(ds.Graph, ds.Trips[:60], cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("system ready in %v (SP table precomputed on %d workers)\n",
+	fmt.Printf("system ready in %v (SP hierarchy built on %d workers)\n",
 		time.Since(t0).Round(time.Millisecond), workers)
 
 	// 3. A feed with one poison item: per-item errors must not sink the batch.

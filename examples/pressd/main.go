@@ -1,6 +1,6 @@
 // The serving daemon, end to end: boot a PRESS system from an SP snapshot
-// (mmap, zero Dijkstra), expose it over HTTP on loopback, and drive it the
-// way a fleet of telematics boxes and an LBS dashboard would — raw JSON
+// (mmap, no hierarchy build), expose it over HTTP on loopback, and drive it
+// the way a fleet of telematics boxes and an LBS dashboard would — raw JSON
 // over the wire, no press import on the client side of the conversation.
 //
 //	go run ./examples/pressd
@@ -44,7 +44,7 @@ func main() {
 	snap := filepath.Join(dir, "sp.snap")
 	cfg := press.DefaultConfig()
 	cfg.TSND, cfg.NSTD = 50, 30 // meters, seconds
-	cfg.SPSnapshotPath = snap   // cache semantics: precompute once, save
+	cfg.SPSnapshotPath = snap   // cache semantics: build once, save
 	warm, err := press.NewSystem(ds.Graph, ds.Trips[:20], cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -60,7 +60,7 @@ func main() {
 	}
 	defer sys.Close()
 	stats := sys.SPStats()
-	fmt.Printf("booted from snapshot in %v: mapped=%v, %d Dijkstra rows computed\n",
+	fmt.Printf("booted from snapshot in %v: mapped=%v, %d hot-source rows cached\n",
 		time.Since(t0).Round(time.Millisecond), stats.Mapped, stats.CachedRows)
 
 	st, err := press.CreateShardedFleetStore(filepath.Join(dir, "fleet"), 4)

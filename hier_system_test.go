@@ -2,15 +2,17 @@ package press
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"testing"
+
+	"press/internal/spindex"
 )
 
-// hierFixture builds a dataset plus two equally trained systems: sysA over
-// the fully precomputed heap SP table, sysH over the contraction hierarchy
-// (heap, no snapshot).
-func hierFixture(t *testing.T) (*Dataset, *System, *System) {
+// spFixture builds a dataset plus three equally trained systems over it:
+// ref, the reference over the paper's all-pairs Table (assembled directly,
+// since no exported constructor serves a Table); heap, NewSystem's heap
+// hierarchy; and mapped, NewSystemFromSnapshot over heap's saved snapshot.
+func spFixture(t *testing.T) (ds *Dataset, ref, heap, mapped *System) {
 	t.Helper()
 	opt := DefaultDatasetOptions(20)
 	opt.City.Rows, opt.City.Cols = 6, 6
@@ -20,50 +22,45 @@ func hierFixture(t *testing.T) (*Dataset, *System, *System) {
 	}
 	cfg := DefaultConfig()
 	cfg.TSND, cfg.NSTD = 50, 30
-	cfg.PrecomputeShortestPaths = true
-	sysA, err := NewSystem(ds.Graph, ds.Trips[:10], cfg)
-	if err != nil {
+	training := ds.Trips[:10]
+	if ref, err = assembleSystem(ds.Graph, spindex.NewTable(ds.Graph), nil, training, cfg); err != nil {
 		t.Fatal(err)
 	}
-	hcfg := DefaultConfig()
-	hcfg.TSND, hcfg.NSTD = 50, 30
-	hcfg.SPMode = SPModeHier
-	sysH, err := NewSystem(ds.Graph, ds.Trips[:10], hcfg)
-	if err != nil {
+	if heap, err = NewSystem(ds.Graph, training, cfg); err != nil {
 		t.Fatal(err)
 	}
-	return ds, sysA, sysH
+	path := filepath.Join(t.TempDir(), "sp.snap")
+	if err := heap.SaveSPSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	if mapped, err = NewSystemFromSnapshot(ds.Graph, training, path, cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mapped.Close() })
+	return ds, ref, heap, mapped
 }
 
-// TestHierSystemEquivalence is the facade-level acceptance property for the
-// hierarchy: compression output is byte-identical and query answers are
-// identical whether the SP source is the all-pairs table or the contraction
-// hierarchy — the O(|E|²) table is not part of the answer contract.
-func TestHierSystemEquivalence(t *testing.T) {
-	ds, sysA, sysH := hierFixture(t)
-	if got := sysH.SPStats(); got.Kind != string(SPModeHier) || got.Mapped {
-		t.Fatalf("hier system stats = %+v; want kind hier, unmapped", got)
-	}
-	if got := sysA.SPStats().Kind; got != string(SPModeTable) {
-		t.Fatalf("table system kind = %q", got)
-	}
-
+// assertSameAnswers is the facade-level oracle: over every raw trajectory
+// of ds, got must compress to exactly ref's bytes, and whereat, whenat,
+// range and mindistance must return exactly ref's answers — not merely
+// answers within the bounds. It returns the compressed fleet.
+func assertSameAnswers(t *testing.T, ds *Dataset, ref, got *System) []*Compressed {
+	t.Helper()
 	var fleet []*Compressed
 	for i, raw := range ds.Raws {
-		ctA, errA := sysA.CompressGPS(raw)
-		ctH, errH := sysH.CompressGPS(raw)
-		if (errA == nil) != (errH == nil) {
-			t.Fatalf("raw %d: error mismatch: table %v, hier %v", i, errA, errH)
+		ctR, errR := ref.CompressGPS(raw)
+		ctG, errG := got.CompressGPS(raw)
+		if (errR == nil) != (errG == nil) {
+			t.Fatalf("raw %d: error mismatch: reference %v, got %v", i, errR, errG)
 		}
-		if errA != nil {
+		if errR != nil {
 			continue
 		}
-		if !bytes.Equal(ctA.Marshal(), ctH.Marshal()) {
-			t.Fatalf("raw %d: compression bytes differ between table and hier", i)
+		if !bytes.Equal(ctR.Marshal(), ctG.Marshal()) {
+			t.Fatalf("raw %d: compression bytes differ from the reference", i)
 		}
-		fleet = append(fleet, ctA)
-
-		back, err := sysH.Decompress(ctH)
+		fleet = append(fleet, ctR)
+		back, err := got.Decompress(ctG)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,125 +72,51 @@ func TestHierSystemEquivalence(t *testing.T) {
 		t.Fatalf("only %d compressible trajectories", len(fleet))
 	}
 
-	// Query answers must be identical, not merely within bounds.
 	region := NewMBR(Point{X: 100, Y: 100}, Point{X: 900, Y: 900})
 	for i, ct := range fleet {
 		mid := (ct.Temporal[0].T + ct.Temporal[len(ct.Temporal)-1].T) / 2
-		pa, errA := sysA.WhereAt(ct, mid)
-		ph, errH := sysH.WhereAt(ct, mid)
-		if (errA == nil) != (errH == nil) || pa != ph {
-			t.Fatalf("ct %d: WhereAt diverges: (%v,%v) vs (%v,%v)", i, pa, errA, ph, errH)
+		pr, errR := ref.WhereAt(ct, mid)
+		pg, errG := got.WhereAt(ct, mid)
+		if (errR == nil) != (errG == nil) || pr != pg {
+			t.Fatalf("ct %d: WhereAt diverges: (%v,%v) vs (%v,%v)", i, pr, errR, pg, errG)
 		}
-		if errA == nil {
-			ta, errA := sysA.WhenAt(ct, pa)
-			th, errH := sysH.WhenAt(ct, ph)
-			if (errA == nil) != (errH == nil) || ta != th {
-				t.Fatalf("ct %d: WhenAt diverges: %v vs %v", i, ta, th)
+		if errR == nil {
+			tr, errR := ref.WhenAt(ct, pr)
+			tg, errG := got.WhenAt(ct, pg)
+			if (errR == nil) != (errG == nil) || tr != tg {
+				t.Fatalf("ct %d: WhenAt diverges: %v vs %v", i, tr, tg)
 			}
 		}
-		ra, errA := sysA.Range(ct, ct.Temporal[0].T, mid, region)
-		rh, errH := sysH.Range(ct, ct.Temporal[0].T, mid, region)
-		if (errA == nil) != (errH == nil) || ra != rh {
-			t.Fatalf("ct %d: Range diverges: %v vs %v", i, ra, rh)
+		rr, errR := ref.Range(ct, ct.Temporal[0].T, mid, region)
+		rg, errG := got.Range(ct, ct.Temporal[0].T, mid, region)
+		if (errR == nil) != (errG == nil) || rr != rg {
+			t.Fatalf("ct %d: Range diverges: %v vs %v", i, rr, rg)
 		}
 	}
-	da, errA := sysA.MinDistance(fleet[0], fleet[1])
-	dh, errH := sysH.MinDistance(fleet[0], fleet[1])
-	if (errA == nil) != (errH == nil) || da != dh {
-		t.Fatalf("MinDistance diverges: %v vs %v", da, dh)
+	for i := 1; i < len(fleet); i++ {
+		dr, errR := ref.MinDistance(fleet[i-1], fleet[i])
+		dg, errG := got.MinDistance(fleet[i-1], fleet[i])
+		if (errR == nil) != (errG == nil) || dr != dg {
+			t.Fatalf("MinDistance(%d,%d) diverges: %v vs %v", i-1, i, dr, dg)
+		}
 	}
+	return fleet
 }
 
-// TestConfigSPModeHierSnapshotCache exercises the PRSP v2 cache semantics
-// through the facade: first boot builds the hierarchy and writes the file,
-// second boot maps it, corruption is a cache miss that regenerates, and
-// NewSystemFromSnapshot dispatches the v2 format automatically.
-func TestConfigSPModeHierSnapshotCache(t *testing.T) {
-	opt := DefaultDatasetOptions(12)
-	opt.City.Rows, opt.City.Cols = 5, 5
-	ds, err := GenerateDataset(opt)
-	if err != nil {
-		t.Fatal(err)
+// TestHierSystemEquivalence is the facade-level acceptance property for the
+// hierarchy: compression output is byte-identical and query answers are
+// identical to a system over the all-pairs table — the O(|E|²) table is not
+// part of the answer contract.
+func TestHierSystemEquivalence(t *testing.T) {
+	ds, ref, heap, _ := spFixture(t)
+	if got := heap.SPStats(); got.Kind != "hier" || got.Mapped {
+		t.Fatalf("NewSystem stats = %+v; want kind hier, unmapped", got)
 	}
-	cfg := DefaultConfig()
-	cfg.TSND, cfg.NSTD = 50, 30
-	cfg.SPMode = SPModeHier
-	cfg.SPSnapshotPath = filepath.Join(t.TempDir(), "sp.hier")
-
-	first, err := NewSystem(ds.Graph, ds.Trips[:6], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer first.Close()
-	if s := first.SPStats(); s.Mapped || s.Kind != string(SPModeHier) {
-		t.Fatalf("first boot stats = %+v; want heap hier", s)
-	}
-	if _, err := os.Stat(cfg.SPSnapshotPath); err != nil {
-		t.Fatalf("first boot did not write the snapshot: %v", err)
-	}
-
-	second, err := NewSystem(ds.Graph, ds.Trips[:6], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
-	if s := second.SPStats(); !s.Mapped || s.Kind != string(SPModeHier) || s.MappedBytes == 0 {
-		t.Fatalf("second boot stats = %+v; want mapped hier", s)
-	}
-	for i, raw := range ds.Raws[:6] {
-		ctA, errA := first.CompressGPS(raw)
-		ctB, errB := second.CompressGPS(raw)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("raw %d: error mismatch", i)
-		}
-		if errA == nil && !bytes.Equal(ctA.Marshal(), ctB.Marshal()) {
-			t.Fatalf("raw %d: bytes differ across boots", i)
-		}
-	}
-
-	// Corruption is a cache miss: NewSystem revalidates eagerly, rebuilds
-	// and rewrites instead of serving degraded.
-	blob, err := os.ReadFile(cfg.SPSnapshotPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)/2] ^= 0xFF
-	if err := os.WriteFile(cfg.SPSnapshotPath, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	third, err := NewSystem(ds.Graph, ds.Trips[:6], cfg)
-	if err != nil {
-		t.Fatalf("NewSystem over corrupt hier snapshot: %v", err)
-	}
-	defer third.Close()
-	if third.SPStats().Mapped {
-		t.Fatal("third boot mapped a corrupt snapshot")
-	}
-	fourth, err := NewSystem(ds.Graph, ds.Trips[:6], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fourth.Close()
-	if !fourth.SPStats().Mapped {
-		t.Fatal("regenerated snapshot did not map on the next boot")
-	}
-
-	// Strict boot over the same file auto-dispatches the v2 format.
-	strict, err := NewSystemFromSnapshot(ds.Graph, ds.Trips[:6], cfg.SPSnapshotPath, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer strict.Close()
-	if s := strict.SPStats(); !s.Mapped || s.Kind != string(SPModeHier) {
-		t.Fatalf("strict boot stats = %+v; want mapped hier", s)
-	}
-	if err := strict.SaveSPSnapshot(filepath.Join(t.TempDir(), "again")); err == nil {
-		t.Fatal("SaveSPSnapshot on a mapped hier system succeeded")
-	}
+	assertSameAnswers(t, ds, ref, heap)
 }
 
 // TestSaveSPSnapshotHeapHier pins that a heap hierarchy system can
-// materialize its own PRSP v2 snapshot for the next boot.
+// materialize its own snapshot for the next boot.
 func TestSaveSPSnapshotHeapHier(t *testing.T) {
 	opt := DefaultDatasetOptions(8)
 	opt.City.Rows, opt.City.Cols = 5, 5
@@ -201,9 +124,7 @@ func TestSaveSPSnapshotHeapHier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.SPMode = SPModeHier
-	sys, err := NewSystem(ds.Graph, ds.Trips[:4], cfg)
+	sys, err := NewSystem(ds.Graph, ds.Trips[:4], DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,22 +137,7 @@ func TestSaveSPSnapshotHeapHier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	if s := reopened.SPStats(); !s.Mapped || s.Kind != string(SPModeHier) {
+	if s := reopened.SPStats(); !s.Mapped || s.Kind != "hier" {
 		t.Fatalf("reopened stats = %+v; want mapped hier", s)
-	}
-}
-
-// TestConfigSPModeUnknown pins the validation error for a bad mode string.
-func TestConfigSPModeUnknown(t *testing.T) {
-	opt := DefaultDatasetOptions(8)
-	opt.City.Rows, opt.City.Cols = 5, 5
-	ds, err := GenerateDataset(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.SPMode = "quantum"
-	if _, err := NewSystem(ds.Graph, ds.Trips[:4], cfg); err == nil {
-		t.Fatal("NewSystem accepted an unknown SPMode")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,7 +53,6 @@ func buildFixture() error {
 	}
 	cfg := press.DefaultConfig()
 	cfg.TSND, cfg.NSTD = 50, 30
-	cfg.PrecomputeWorkers = runtime.GOMAXPROCS(0)
 	sys, err := press.NewSystem(ds.Graph, ds.Trips[:12], cfg)
 	if err != nil {
 		return err

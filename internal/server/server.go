@@ -84,10 +84,9 @@ import (
 
 // SPInfo mirrors the facade's SPStats accounting (field-for-field, so the
 // facade converts between the two types directly): which shortest-path
-// implementation is active ("table", "snapshot" or "hier"), how it is
-// resident (mapped snapshot vs Go heap) and how many rows were materialized
-// on the heap. CachedRows == 0 on a snapshot-booted daemon is the "no
-// Dijkstra at startup" invariant, surfaced in /v1/stats.
+// implementation is active (always "hier"), how it is resident (mapped
+// snapshot vs Go heap), how many exact rows its hot-source LRU holds on the
+// heap, and the hierarchy's build and cache counters.
 type SPInfo struct {
 	Kind        string `json:"kind"`
 	Mapped      bool   `json:"mapped"`
@@ -95,7 +94,6 @@ type SPInfo struct {
 	HeapBytes   int    `json:"heap_bytes"`
 	MappedBytes int    `json:"mapped_bytes"`
 
-	// Hier-only accounting (zero for table/snapshot systems).
 	BuildWorkers     int    `json:"build_workers"`
 	WitnessSettleCap int    `json:"witness_settle_cap"`
 	RowCacheBytes    int    `json:"row_cache_bytes"`
@@ -920,14 +918,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		gauge("press_sp_heap_bytes", "Shortest-path source bytes resident on the Go heap.", float64(sp.HeapBytes))
 		gauge("press_sp_mapped_bytes", "Shortest-path source bytes served from the read-only snapshot mapping.", float64(sp.MappedBytes))
 		gauge("press_sp_cached_rows", "Shortest-path rows materialized on the heap.", float64(sp.CachedRows))
-		if sp.Kind == "hier" {
-			gauge("press_sp_build_workers", "Goroutines the contraction-hierarchy build ran on.", float64(sp.BuildWorkers))
-			gauge("press_sp_witness_settle_cap", "Resolved witness settle cap of the hierarchy build.", float64(sp.WitnessSettleCap))
-			gauge("press_sp_row_cache_bytes", "Heap bytes of the hot-source exact-row LRU.", float64(sp.RowCacheBytes))
-			counter("press_sp_unpack_cache_hits_total", "Shortcut-unpack cache hits.", sp.UnpackHits)
-			counter("press_sp_unpack_cache_misses_total", "Shortcut-unpack cache misses.", sp.UnpackMisses)
-			gauge("press_sp_unpack_cache_bytes", "Heap bytes of the shortcut-unpack cache.", float64(sp.UnpackBytes))
-		}
+		gauge("press_sp_build_workers", "Goroutines the contraction-hierarchy build ran on.", float64(sp.BuildWorkers))
+		gauge("press_sp_witness_settle_cap", "Resolved witness settle cap of the hierarchy build.", float64(sp.WitnessSettleCap))
+		gauge("press_sp_row_cache_bytes", "Heap bytes of the hot-source exact-row LRU.", float64(sp.RowCacheBytes))
+		counter("press_sp_unpack_cache_hits_total", "Shortcut-unpack cache hits.", sp.UnpackHits)
+		counter("press_sp_unpack_cache_misses_total", "Shortcut-unpack cache misses.", sp.UnpackMisses)
+		gauge("press_sp_unpack_cache_bytes", "Heap bytes of the shortcut-unpack cache.", float64(sp.UnpackBytes))
 	}
 
 	names := make([]string, 0, len(s.metrics))

@@ -10,8 +10,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -62,7 +62,6 @@ func buildFixture() error {
 	snap := filepath.Join(dir, "sp.snap")
 	cfg := press.DefaultConfig()
 	cfg.TSND, cfg.NSTD = 50, 30
-	cfg.PrecomputeWorkers = runtime.GOMAXPROCS(0)
 	cfg.SPSnapshotPath = snap
 	warm, err := press.NewSystem(ds.Graph, ds.Trips[:16], cfg)
 	if err != nil {
@@ -76,7 +75,7 @@ func buildFixture() error {
 	if err != nil {
 		return err
 	}
-	if got := sys.SPStats(); !got.Mapped || got.CachedRows != 0 {
+	if got := sys.SPStats(); !got.Mapped || got.Kind != "hier" {
 		return fmt.Errorf("fixture system not snapshot-booted: %+v", got)
 	}
 	fx = &fixture{ds: ds, sys: sys}
@@ -243,11 +242,8 @@ func TestEndToEndMatchesFacade(t *testing.T) {
 	if status := getJSON(t, ts.URL+"/v1/stats", &stats); status != http.StatusOK {
 		t.Fatalf("stats = %d", status)
 	}
-	if !stats.SP.Mapped || stats.SP.CachedRows != 0 {
-		t.Fatalf("serving did Dijkstra work: %+v", stats.SP)
-	}
-	if stats.SP.Kind != "snapshot" || stats.SP.MappedBytes == 0 {
-		t.Fatalf("sp kind accounting: %+v, want kind snapshot with mapped bytes", stats.SP)
+	if !stats.SP.Mapped || stats.SP.Kind != "hier" || stats.SP.MappedBytes == 0 {
+		t.Fatalf("sp kind accounting: %+v, want a mapped hier with mapped bytes", stats.SP)
 	}
 	if stats.Sessions.Flushed != uint64(n) || stats.Sessions.Active != 0 {
 		t.Fatalf("sessions: %+v, want %d flushed 0 active", stats.Sessions, n)
@@ -965,9 +961,10 @@ func TestMetricsExposition(t *testing.T) {
 		"press_requests_total{endpoint=\"whereat\"} 2",
 		"press_request_errors_total{endpoint=\"whereat\"} 0",
 		"press_uptime_seconds",
-		"press_sp_kind{kind=\"snapshot\"} 1",
+		"press_sp_kind{kind=\"hier\"} 1",
 		"# TYPE press_sp_mapped_bytes gauge",
 		"# TYPE press_sp_heap_bytes gauge",
+		"# TYPE press_sp_unpack_cache_hits_total counter",
 		// The per-endpoint latency counters /v1/stats reports must reach
 		// /metrics as a proper summary: one TYPE line, then _sum/_count
 		// pairs per endpoint label, so node and router latencies line up

@@ -1,14 +1,14 @@
 package spindex
 
-// Hier is the third SP implementation: a contraction hierarchy (CH) built
-// over the same line graph Table runs Dijkstra on (edges as nodes; the arc
-// a→b exists when To(a) == From(b) and costs w(b)). Construction contracts
-// nodes in a heuristic importance order, inserting a shortcut u→w for a
-// contracted node v only when no witness path of equal or smaller cost
-// survives among the uncontracted nodes; queries then run two upward
-// Dijkstras (forward from src over arcs into higher-ranked nodes, backward
-// from dst over arcs from higher-ranked nodes) whose best meeting node
-// yields a shortest path after shortcut unpacking. Memory is
+// Hier is the SP implementation the system serves: a contraction hierarchy
+// (CH) built over the same line graph Table runs Dijkstra on (edges as
+// nodes; the arc a→b exists when To(a) == From(b) and costs w(b)).
+// Construction contracts nodes in a heuristic importance order, inserting a
+// shortcut u→w for a contracted node v only when no witness path of equal
+// or smaller cost survives among the uncontracted nodes; queries then run
+// two upward Dijkstras (forward from src over arcs into higher-ranked nodes,
+// backward from dst over arcs from higher-ranked nodes) whose best meeting
+// node yields a shortest path after shortcut unpacking. Memory is
 // O(|E| + shortcuts) instead of Table's O(|E|²) rows.
 //
 // Answer identity with Table is a hard contract, and floating point makes
@@ -827,4 +827,3 @@ func (q *nodeHeap) pop() (float64, int32) {
 	}
 	return k, v
 }
-

@@ -2,7 +2,9 @@ package spindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -195,9 +197,6 @@ func TestHierSnapshotRoundTrip(t *testing.T) {
 	if err := h.SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := SnapshotVersion(path); err != nil || v != hierSnapshotVersion {
-		t.Fatalf("SnapshotVersion = %d, %v", v, err)
-	}
 	m, err := OpenHierMapped(path, g)
 	if err != nil {
 		t.Fatal(err)
@@ -270,20 +269,12 @@ func TestHierSnapshotOpenErrors(t *testing.T) {
 		}
 	})
 	t.Run("version-confusion", func(t *testing.T) {
-		// A v2 file fed to the v1 decoder and vice versa must both produce
-		// typed failures, not panics or silent nonsense.
-		if _, err := parseSnapshot(valid, g); !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("v1 decoder on v2 bytes: %v", err)
-		}
-		tab := NewTable(g)
-		tab.PrecomputeAll()
-		var v1 bytes.Buffer
-		if _, err := tab.WriteSnapshot(&v1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := parseHierSnapshot(v1.Bytes(), g); !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("v2 decoder on v1 bytes: %v", err)
-		}
+		// A file claiming the retired all-pairs layout (version 1) must be a
+		// typed failure, not a panic or silent nonsense.
+		bad := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(bad[4:8], 1)
+		binary.LittleEndian.PutUint32(bad[snapHeaderLen:], crc32.ChecksumIEEE(bad[:snapHeaderLen]))
+		wantBad(t, bad)
 	})
 }
 
@@ -335,47 +326,6 @@ func TestHierSnapshotFirstTouchDegrades(t *testing.T) {
 	}
 }
 
-func TestOpenSnapshotMappedDispatch(t *testing.T) {
-	g := randomGraph(t, 10, 30, 77)
-	dir := t.TempDir()
-
-	tabPath := filepath.Join(dir, "table.snap")
-	tab := NewTable(g)
-	tab.PrecomputeAll()
-	if err := tab.SaveSnapshot(tabPath); err != nil {
-		t.Fatal(err)
-	}
-	hierPath := filepath.Join(dir, "hier.snap")
-	if err := NewHier(g).SaveSnapshot(hierPath); err != nil {
-		t.Fatal(err)
-	}
-
-	sp1, err := OpenSnapshotMapped(tabPath, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, ok := sp1.(*Snapshot); !ok {
-		t.Fatalf("v1 dispatch produced %T", sp1)
-	} else {
-		defer s.Close()
-	}
-	sp2, err := OpenSnapshotMapped(hierPath, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, ok := sp2.(*Hier); !ok {
-		t.Fatalf("v2 dispatch produced %T", sp2)
-	} else {
-		defer h.Close()
-	}
-	if got, want := sp1.Dist(0, 5), sp2.Dist(0, 5); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("dispatched implementations disagree: %v vs %v", got, want)
-	}
-	if _, err := OpenSnapshotMapped(filepath.Join(dir, "absent.snap"), g); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("absent file: %v", err)
-	}
-}
-
 func TestHierConcurrentQueries(t *testing.T) {
 	g := randomGraph(t, 20, 70, 91)
 	h := NewHier(g)
@@ -419,7 +369,7 @@ func FuzzHierVsTable(f *testing.F) {
 	f.Add(uint8(12), uint8(40), int64(7))
 	f.Add(uint8(5), uint8(5), int64(99))
 	f.Fuzz(func(t *testing.T, nvRaw, neRaw uint8, seed int64) {
-		nv := 3 + int(nvRaw)%22     // 3..24 vertices
+		nv := 3 + int(nvRaw)%22      // 3..24 vertices
 		ne := nv + int(neRaw)%(3*nv) // ring + up to 3·nv chords
 		g := randomGraph(t, nv, ne, seed)
 		tab := NewTable(g)

@@ -2,8 +2,10 @@ package spindex
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -12,11 +14,13 @@ import (
 	"press/internal/roadnet"
 )
 
-// Hier snapshot: version 2 of the PRSP container. Where version 1 is a flat
-// all-pair row file, version 2 is a section directory — each section one of
-// the hierarchy's flat arrays, individually CRC-protected — so opening is a
-// header-plus-directory read and the payloads are faulted in (and checked)
-// lazily. Layout (little endian):
+// The SP snapshot is the PRSP container, version 2: a section directory —
+// each section one of the hierarchy's flat arrays, individually
+// CRC-protected — so opening is a header-plus-directory read and the
+// payloads are faulted in (and checked) lazily. Version 1 (a flat all-pair
+// row file) is retired; such a file is rejected as ErrBadSnapshot, which
+// makes it a cache miss like any other stale snapshot. Layout (little
+// endian):
 //
 //	 0  magic "PRSP"
 //	 4  u32 format version (2)
@@ -32,16 +36,68 @@ import (
 // OpenHierMapped validates only the header and directory — a cold boot
 // touches two pages regardless of graph size. The payload CRCs and the
 // structural invariants (rank is a permutation, arcs reference valid
-// endpoints, shortcuts reference strictly smaller arc ids so unpacking
-// terminates, CSR offsets are monotone and in range) are verified exactly
+// endpoints, shortcuts reference strictly smaller arc ids that chain like
+// the shortcut so unpacking terminates, CSR offsets are monotone and in
+// range, each adjacency list holds only its node's arcs) are verified exactly
 // once, on the first query that needs them; a failure degrades the Hier to
 // exact Dijkstra rows (correct, slower, memory-bounded) and is reported by
 // EnsureValid. Unknown section types are skipped, so the format can grow
 // sections without breaking old readers.
 
+// Typed snapshot failure modes; match with errors.Is.
+var (
+	// ErrBadSnapshot means the file is not a valid SP snapshot: wrong magic,
+	// unsupported version, truncated, or a CRC or structural failure in the
+	// header, the directory or a section payload.
+	ErrBadSnapshot = errors.New("spindex: bad snapshot")
+	// ErrSnapshotMismatch means the snapshot is internally consistent but
+	// was written for a different road network than the one it is being
+	// opened against (graph fingerprint or edge count disagree).
+	ErrSnapshotMismatch = errors.New("spindex: snapshot does not match graph")
+)
+
+// IsCacheMiss reports whether a snapshot open failure means the file is a
+// regenerable stale cache entry — absent, damaged, or written for another
+// network — rather than a real I/O or permission problem that rebuilding
+// would only paper over.
+func IsCacheMiss(err error) bool {
+	return errors.Is(err, os.ErrNotExist) ||
+		errors.Is(err, ErrBadSnapshot) ||
+		errors.Is(err, ErrSnapshotMismatch)
+}
+
+var snapshotMagic = [4]byte{'P', 'R', 'S', 'P'}
+
+// GraphFingerprint hashes the shortest-path-relevant structure of a network:
+// vertex/edge counts and every edge's (From, To, Weight). Geometry is
+// excluded — it never influences shortest paths. Two graphs with equal
+// fingerprints produce identical snapshots.
+func GraphFingerprint(g *roadnet.Graph) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put32 := func(v uint32) {
+		binary.LittleEndian.PutUint32(buf[:4], v)
+		h.Write(buf[:4])
+	}
+	put64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	put32(uint32(g.NumVertices()))
+	put32(uint32(g.NumEdges()))
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		put32(uint32(e.From))
+		put32(uint32(e.To))
+		put64(math.Float64bits(e.Weight))
+	}
+	return h.Sum64()
+}
+
 const (
-	hierSnapshotVersion = 2
-	hierDirEntryLen     = 24
+	snapHeaderLen   = 24 // magic + version + fingerprint + |E| + sections
+	snapshotVersion = 2
+	hierDirEntryLen = 24
 
 	hierSecRank    = 1
 	hierSecArcs    = 2
@@ -53,44 +109,6 @@ const (
 
 	hierMetaLen = 8
 )
-
-// SnapshotVersion reads the PRSP container version of the file at path
-// without validating anything beyond the magic. Use it to dispatch between
-// OpenMapped (version 1, all-pair rows) and OpenHierMapped (version 2,
-// hierarchy); OpenSnapshotMapped does exactly that.
-func SnapshotVersion(path string) (uint32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var buf [8]byte
-	if _, err := io.ReadFull(f, buf[:]); err != nil {
-		return 0, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	if [4]byte{buf[0], buf[1], buf[2], buf[3]} != snapshotMagic {
-		return 0, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	return binary.LittleEndian.Uint32(buf[4:8]), nil
-}
-
-// OpenSnapshotMapped maps whichever PRSP format lives at path: version 1
-// yields a *Snapshot (all-pair rows), version 2 a *Hier. Both come back
-// behind the SP interface; type-switch for Close and the memory split.
-func OpenSnapshotMapped(path string, g *roadnet.Graph) (SP, error) {
-	v, err := SnapshotVersion(path)
-	if err != nil {
-		return nil, err
-	}
-	switch v {
-	case snapshotVersion:
-		return OpenMapped(path, g)
-	case hierSnapshotVersion:
-		return OpenHierMapped(path, g)
-	default:
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, v)
-	}
-}
 
 // hierSections lists the payloads in fixed write order.
 func (h *Hier) hierSections() []struct {
@@ -122,7 +140,7 @@ func (h *Hier) WriteSnapshot(w io.Writer) (int64, error) {
 
 	header := make([]byte, snapHeaderLen+4)
 	copy(header[:4], snapshotMagic[:])
-	binary.LittleEndian.PutUint32(header[4:8], hierSnapshotVersion)
+	binary.LittleEndian.PutUint32(header[4:8], snapshotVersion)
 	binary.LittleEndian.PutUint64(header[8:16], GraphFingerprint(h.g))
 	binary.LittleEndian.PutUint32(header[16:20], uint32(h.n))
 	binary.LittleEndian.PutUint32(header[20:24], uint32(len(secs)))
@@ -221,6 +239,11 @@ func openHierMappedWith(path string, g *roadnet.Graph, opt HierOptions) (*Hier, 
 	if err != nil {
 		return nil, err
 	}
+	if !fi.Mode().IsRegular() {
+		// Not a stale cache entry but a misconfigured path: a plain error, so
+		// cache callers fail instead of rebuilding over it.
+		return nil, fmt.Errorf("spindex: snapshot %s is not a regular file", path)
+	}
 	size := fi.Size()
 	if size < snapHeaderLen+4 {
 		return nil, fmt.Errorf("%w: file %d bytes, want at least %d", ErrBadSnapshot, size, snapHeaderLen+4)
@@ -253,7 +276,7 @@ func parseHierSnapshot(data []byte, g *roadnet.Graph) (*Hier, error) {
 	if [4]byte{data[0], data[1], data[2], data[3]} != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != hierSnapshotVersion {
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != snapshotVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, v)
 	}
 	if got := binary.LittleEndian.Uint32(data[24:28]); got != crc32.ChecksumIEEE(data[:snapHeaderLen]) {
@@ -388,24 +411,28 @@ func (h *Hier) validatePayloads(payloads [][]byte, crcs []uint32) error {
 		seen[r] = true
 	}
 	// Arcs: endpoints in range, shortcut constituents strictly smaller
-	// (unpack termination), weights positive and finite.
-	for a := 0; a < h.numArcs; a++ {
-		from, to := h.arcFrom(int32(a)), h.arcTo(int32(a))
+	// (unpack termination) and chained u→v→w like the shortcut u→w they
+	// expand, weights positive and finite.
+	for a := int32(0); a < int32(h.numArcs); a++ {
+		from, to := h.arcFrom(a), h.arcTo(a)
 		if from < 0 || int(from) >= n || to < 0 || int(to) >= n || from == to {
 			return fmt.Errorf("%w: arc %d endpoints out of range", ErrBadSnapshot, a)
 		}
-		l, r := h.arcLeft(int32(a)), h.arcRight(int32(a))
-		if (l < 0) != (r < 0) || l >= int32(a) || r >= int32(a) ||
-			l < -1 || r < -1 {
+		l, r := h.arcLeft(a), h.arcRight(a)
+		if (l < 0) != (r < 0) || l >= a || r >= a || l < -1 || r < -1 {
 			return fmt.Errorf("%w: arc %d constituents invalid", ErrBadSnapshot, a)
 		}
-		if w := h.arcWeight(int32(a)); !(w > 0) || math.IsInf(w, 1) {
+		if l >= 0 && (h.arcFrom(l) != from || h.arcTo(l) != h.arcFrom(r) || h.arcTo(r) != to) {
+			return fmt.Errorf("%w: arc %d constituents do not chain", ErrBadSnapshot, a)
+		}
+		if w := h.arcWeight(a); !(w > 0) || math.IsInf(w, 1) {
 			return fmt.Errorf("%w: arc %d weight invalid", ErrBadSnapshot, a)
 		}
 	}
 	// CSR offsets: zero-based, monotone, closed by the list length; every
-	// referenced arc id in range.
-	check := func(idx, list []byte) error {
+	// referenced arc id in range and owned by the node whose list holds it
+	// (the search walks parent arcs back through their owners).
+	check := func(idx, list []byte, owner func(int32) int32) error {
 		prev := uint32(0)
 		if binary.LittleEndian.Uint32(idx) != 0 {
 			return fmt.Errorf("%w: adjacency index does not start at 0", ErrBadSnapshot)
@@ -420,15 +447,22 @@ func (h *Hier) validatePayloads(payloads [][]byte, crcs []uint32) error {
 		if int(prev) != len(list)/4 {
 			return fmt.Errorf("%w: adjacency index ends at %d, list has %d arcs", ErrBadSnapshot, prev, len(list)/4)
 		}
-		for i := 0; i < len(list); i += 4 {
-			if a := binary.LittleEndian.Uint32(list[i:]); a >= uint32(h.numArcs) {
-				return fmt.Errorf("%w: adjacency references arc %d of %d", ErrBadSnapshot, a, h.numArcs)
+		for v := 0; v < n; v++ {
+			lo, hi := binary.LittleEndian.Uint32(idx[4*v:]), binary.LittleEndian.Uint32(idx[4*v+4:])
+			for i := lo; i < hi; i++ {
+				a := binary.LittleEndian.Uint32(list[4*i:])
+				if a >= uint32(h.numArcs) {
+					return fmt.Errorf("%w: adjacency references arc %d of %d", ErrBadSnapshot, a, h.numArcs)
+				}
+				if owner(int32(a)) != int32(v) {
+					return fmt.Errorf("%w: adjacency of node %d holds arc %d", ErrBadSnapshot, v, a)
+				}
 			}
 		}
 		return nil
 	}
-	if err := check(h.fwdIdx, h.fwdList); err != nil {
+	if err := check(h.fwdIdx, h.fwdList, h.arcFrom); err != nil {
 		return err
 	}
-	return check(h.bwdIdx, h.bwdList)
+	return check(h.bwdIdx, h.bwdList, h.arcTo)
 }

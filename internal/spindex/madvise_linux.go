@@ -1,8 +1,7 @@
 // The stdlib syscall package exports Madvise on Linux only (the BSDs and
-// darwin have the raw syscall but not the Go wrapper), so the hints are
-// gated on linux and compile to no-ops everywhere else (madvise_other.go).
-// They are best-effort — a kernel that ignores them costs nothing but the
-// syscall.
+// darwin have the raw syscall but not the Go wrapper), so the hint is gated
+// on linux and compiles to a no-op everywhere else (madvise_other.go). It is
+// best-effort — a kernel that ignores it costs nothing but the syscall.
 
 //go:build linux
 
@@ -10,28 +9,9 @@ package spindex
 
 import "syscall"
 
-// madviseSequential tells the kernel the mapping is about to be read front
-// to back (aggressive readahead): exactly the access pattern of OpenMapped's
-// CRC validation scan. Advice is persistent per mapping — pair with
-// madviseNormal once the scan is done.
-func madviseSequential(data []byte) {
-	if len(data) > 0 {
-		_ = syscall.Madvise(data, syscall.MADV_SEQUENTIAL)
-	}
-}
-
-// madviseNormal resets the mapping to default paging behavior; issued after
-// validation so the random row lookups of serving do not run under
-// sequential-readahead advice for the daemon's whole lifetime.
-func madviseNormal(data []byte) {
-	if len(data) > 0 {
-		_ = syscall.Madvise(data, syscall.MADV_NORMAL)
-	}
-}
-
 // madviseWillNeed asks the kernel to start paging the mapping in now, so a
 // daemon's first queries after a cold boot hit warm pages instead of
-// stalling on page faults row by row.
+// stalling on page faults section by section.
 func madviseWillNeed(data []byte) {
 	if len(data) > 0 {
 		_ = syscall.Madvise(data, syscall.MADV_WILLNEED)

@@ -2,9 +2,7 @@
 
 package spindex
 
-// Paging hints are a no-op where stdlib syscall lacks Madvise (everywhere
+// The paging hint is a no-op where stdlib syscall lacks Madvise (everywhere
 // but Linux, including the !unix heap fallback where the "mapping" is
 // ordinary Go memory).
-func madviseSequential([]byte) {}
-func madviseNormal([]byte)    {}
-func madviseWillNeed([]byte)  {}
+func madviseWillNeed([]byte) {}

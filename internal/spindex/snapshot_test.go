@@ -2,10 +2,13 @@ package spindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,17 +16,30 @@ import (
 	"press/internal/roadnet"
 )
 
-// saveSnapshot materializes every row of a fresh table over g and writes a
-// snapshot file, returning the path and the table it came from.
-func saveSnapshot(t *testing.T, g *roadnet.Graph) (string, *Table) {
+// saveSnapshot builds a hierarchy over g and writes its snapshot file,
+// returning the path and the heap hierarchy it came from.
+func saveSnapshot(t *testing.T, g *roadnet.Graph) (string, *Hier) {
 	t.Helper()
-	tab := NewTable(g)
-	tab.PrecomputeAll()
+	h := NewHier(g)
 	path := filepath.Join(t.TempDir(), "sp.snap")
-	if err := tab.SaveSnapshot(path); err != nil {
+	if err := h.SaveSnapshot(path); err != nil {
 		t.Fatalf("SaveSnapshot: %v", err)
 	}
-	return path, tab
+	return path, h
+}
+
+// openValid maps the snapshot at path and forces its payload validation.
+func openValid(t *testing.T, path string, g *roadnet.Graph) *Hier {
+	t.Helper()
+	m, err := OpenHierMapped(path, g)
+	if err != nil {
+		t.Fatalf("OpenHierMapped: %v", err)
+	}
+	t.Cleanup(func() { m.Close() })
+	if err := m.EnsureValid(); err != nil {
+		t.Fatalf("EnsureValid: %v", err)
+	}
+	return m
 }
 
 // assertSPEqual compares every pair's answer between two SP sources.
@@ -36,13 +52,11 @@ func assertSPEqual(t *testing.T, want, got SP) {
 			if w, g := want.SPEnd(src, dst), got.SPEnd(src, dst); w != g {
 				t.Fatalf("SPEnd(%d,%d) = %d want %d", a, b, g, w)
 			}
-			w, g := want.Dist(src, dst), got.Dist(src, dst)
-			if w != g && !(math.IsInf(w, 1) && math.IsInf(g, 1)) {
+			if w, g := want.Dist(src, dst), got.Dist(src, dst); math.Float64bits(w) != math.Float64bits(g) {
 				t.Fatalf("Dist(%d,%d) = %g want %g", a, b, g, w)
 			}
-			wg, gg := want.GapDist(src, dst), got.GapDist(src, dst)
-			if wg != gg && !(math.IsInf(wg, 1) && math.IsInf(gg, 1)) {
-				t.Fatalf("GapDist(%d,%d) = %g want %g", a, b, gg, wg)
+			if w, g := want.GapDist(src, dst), got.GapDist(src, dst); math.Float64bits(w) != math.Float64bits(g) {
+				t.Fatalf("GapDist(%d,%d) = %g want %g", a, b, g, w)
 			}
 			if w, g := want.Reachable(src, dst), got.Reachable(src, dst); w != g {
 				t.Fatalf("Reachable(%d,%d) = %v want %v", a, b, g, w)
@@ -60,95 +74,48 @@ func assertSPEqual(t *testing.T, want, got SP) {
 	}
 }
 
+// TestSnapshotEquivalence: a hierarchy saved and mapped back answers every
+// pair — paths included — exactly like the all-pairs table.
 func TestSnapshotEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := randomGraph(t, 10, 24, seed)
-		path, tab := saveSnapshot(t, g)
-		snap, err := OpenMapped(path, g)
-		if err != nil {
-			t.Fatalf("seed %d: OpenMapped: %v", seed, err)
-		}
-		if snap.Rows() != g.NumEdges() {
-			t.Fatalf("seed %d: Rows = %d want %d", seed, snap.Rows(), g.NumEdges())
-		}
-		assertSPEqual(t, tab, snap)
-		// A full snapshot never computes fallback rows: no Dijkstra on
-		// reopen.
-		if snap.CachedRows() != 0 {
-			t.Fatalf("seed %d: CachedRows = %d after full-table lookups, want 0", seed, snap.CachedRows())
-		}
-		if snap.MemoryBytes() != 0 {
-			t.Fatalf("seed %d: MemoryBytes = %d for full snapshot, want 0", seed, snap.MemoryBytes())
-		}
-		snap.Close()
-	}
-}
-
-func TestSnapshotPartialFallback(t *testing.T) {
-	g := randomGraph(t, 8, 16, 3)
-	tab := NewTable(g)
-	// Materialize only even source rows.
-	for e := 0; e < g.NumEdges(); e += 2 {
-		tab.SPEnd(roadnet.EdgeID(e), 0)
-	}
-	path := filepath.Join(t.TempDir(), "sp.snap")
-	if err := tab.SaveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := OpenMapped(path, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Close()
-	if snap.Rows() != (g.NumEdges()+1)/2 {
-		t.Fatalf("Rows = %d want %d", snap.Rows(), (g.NumEdges()+1)/2)
-	}
-	full := NewTable(g)
-	assertSPEqual(t, full, snap)
-	// Odd rows were served by fallback Dijkstra, and only those.
-	if want := g.NumEdges() / 2; snap.CachedRows() != want {
-		t.Fatalf("CachedRows = %d want %d", snap.CachedRows(), want)
-	}
-	if snap.MemoryBytes() == 0 {
-		t.Fatal("MemoryBytes = 0 despite fallback rows")
+		path, _ := saveSnapshot(t, g)
+		assertSPEqual(t, NewTable(g), openValid(t, path, g))
 	}
 }
 
 // TestSnapshotMappedBytesExact pins the mapped-vs-heap accounting split: a
-// mapped snapshot reports exactly the file size as mapped bytes and zero
-// heap bytes until a fallback row is forced; a heap table reports the
-// mirror image.
+// mapped hierarchy reports exactly the file size as mapped bytes and no
+// heap bytes until a query caches something; a heap hierarchy reports the
+// mirror image, and the file is exactly its sections plus the framing.
 func TestSnapshotMappedBytesExact(t *testing.T) {
 	g := randomGraph(t, 9, 20, 11)
-	path, tab := saveSnapshot(t, g)
+	path, h := saveSnapshot(t, g)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.NumEdges()
-	wantSize := int64(snapIndexStart + 8*n + 4 + n*(4+12*n))
+	sections := len(h.hierSections())
+	// The heap hierarchy's bytes are its flat sections; the meta section
+	// (hierMetaLen) is the one payload not held as an array.
+	wantSize := int64(snapHeaderLen + 4 + hierDirEntryLen*sections + 4 + h.MemoryBytes() + hierMetaLen)
 	if fi.Size() != wantSize {
 		t.Fatalf("file size = %d want %d", fi.Size(), wantSize)
 	}
-	snap, err := OpenMapped(path, g)
-	if err != nil {
-		t.Fatal(err)
+	if h.MappedBytes() != 0 {
+		t.Fatalf("heap Hier MappedBytes = %d want 0", h.MappedBytes())
 	}
-	defer snap.Close()
-	if got := snap.MappedBytes(); int64(got) != fi.Size() {
+	m := openValid(t, path, g)
+	if got := m.MappedBytes(); int64(got) != fi.Size() {
 		t.Fatalf("MappedBytes = %d want file size %d", got, fi.Size())
 	}
-	if snap.MemoryBytes() != 0 {
-		t.Fatalf("MemoryBytes = %d before any fallback, want 0", snap.MemoryBytes())
-	}
-	if tab.MappedBytes() != 0 {
-		t.Fatalf("Table.MappedBytes = %d want 0", tab.MappedBytes())
-	}
-	if tab.MemoryBytes() == 0 {
-		t.Fatal("Table.MemoryBytes = 0 for a materialized table")
+	if m.MemoryBytes() != 0 {
+		t.Fatalf("MemoryBytes = %d before any query, want 0", m.MemoryBytes())
 	}
 }
 
+// TestSnapshotTruncated: a file cut anywhere is rejected at open, because
+// the directory's extents no longer fit — never mapped and served short.
 func TestSnapshotTruncated(t *testing.T) {
 	g := randomGraph(t, 6, 12, 5)
 	path, _ := saveSnapshot(t, g)
@@ -161,9 +128,9 @@ func TestSnapshotTruncated(t *testing.T) {
 		if err := os.WriteFile(cut, blob[:size], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := OpenMapped(cut, g)
+		m, err := OpenHierMapped(cut, g)
 		if err == nil {
-			snap.Close()
+			m.Close()
 			t.Fatalf("truncation to %d bytes accepted", size)
 		}
 		if !errors.Is(err, ErrBadSnapshot) {
@@ -172,9 +139,10 @@ func TestSnapshotTruncated(t *testing.T) {
 	}
 }
 
-// TestSnapshotCorruptByte flips every byte of the file in turn; each flip
-// must surface as ErrBadSnapshot (every section is CRC-protected), never as
-// a silently different table.
+// TestSnapshotCorruptByte flips every byte of the file in turn. Header and
+// directory damage must fail the open; payload damage must fail the
+// first-touch validation — every byte is CRC-protected, so no flip may
+// yield a silently different hierarchy.
 func TestSnapshotCorruptByte(t *testing.T) {
 	g := randomGraph(t, 5, 10, 9)
 	path, _ := saveSnapshot(t, g)
@@ -182,16 +150,14 @@ func TestSnapshotCorruptByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := filepath.Join(t.TempDir(), "bad.snap")
 	for i := range blob {
 		blob[i] ^= 0xFF
-		if err := os.WriteFile(bad, blob, 0o644); err != nil {
-			t.Fatal(err)
+		h, err := parseHierSnapshot(bytes.Clone(blob), g)
+		if err == nil {
+			err = h.EnsureValid()
 		}
 		blob[i] ^= 0xFF
-		snap, err := OpenMapped(bad, g)
 		if err == nil {
-			snap.Close()
 			t.Fatalf("flipped byte %d accepted", i)
 		}
 		if !errors.Is(err, ErrBadSnapshot) {
@@ -208,16 +174,19 @@ func TestSnapshotFingerprintMismatch(t *testing.T) {
 	if GraphFingerprint(g) == GraphFingerprint(other) {
 		t.Fatal("fingerprints collide for different graphs")
 	}
-	if _, err := OpenMapped(path, other); !errors.Is(err, ErrSnapshotMismatch) {
+	if _, err := OpenHierMapped(path, other); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
 	}
 	// Different edge count is also a mismatch, not a decode error.
 	small := randomGraph(t, 6, 9, 1)
-	if _, err := OpenMapped(path, small); !errors.Is(err, ErrSnapshotMismatch) {
+	if _, err := OpenHierMapped(path, small); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
 	}
 }
 
+// TestSnapshotBadMagicAndVersion: foreign files and unknown versions are
+// typed decode errors — including version 1, the retired all-pairs layout,
+// so a leftover file from before the hierarchy is a cache miss.
 func TestSnapshotBadMagicAndVersion(t *testing.T) {
 	g := randomGraph(t, 5, 10, 4)
 	path, _ := saveSnapshot(t, g)
@@ -226,27 +195,32 @@ func TestSnapshotBadMagicAndVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func([]byte){
-		"magic":   func(b []byte) { b[0] = 'X' },
-		"version": func(b []byte) { b[4] = 99 },
+		"magic":      func(b []byte) { b[0] = 'X' },
+		"version":    func(b []byte) { b[4] = 99 },
+		"version-v1": func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 1) },
 	} {
-		mutated := append([]byte(nil), blob...)
+		mutated := bytes.Clone(blob)
 		mutate(mutated)
-		if _, err := parseSnapshot(mutated, g); !errors.Is(err, ErrBadSnapshot) {
+		_, err := parseHierSnapshot(mutated, g)
+		if !errors.Is(err, ErrBadSnapshot) || !IsCacheMiss(err) {
 			t.Fatalf("%s: err = %v, want ErrBadSnapshot", name, err)
 		}
 	}
 }
 
-// TestSnapshotConcurrentReaders hammers one mapped snapshot from many
-// goroutines (run under -race in CI).
+// TestSnapshotConcurrentReaders hammers one freshly mapped hierarchy from
+// many goroutines, so the first-touch payload validation itself races the
+// first queries (run under -race in CI).
 func TestSnapshotConcurrentReaders(t *testing.T) {
 	g := randomGraph(t, 8, 18, 6)
-	path, tab := saveSnapshot(t, g)
-	snap, err := OpenMapped(path, g)
+	path, _ := saveSnapshot(t, g)
+	m, err := OpenHierMapped(path, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer snap.Close()
+	defer m.Close()
+	tab := NewTable(g)
+	tab.PrecomputeAll()
 	n := g.NumEdges()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -256,10 +230,11 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				a := roadnet.EdgeID((seed + i) % n)
 				b := roadnet.EdgeID((seed + 3*i) % n)
-				if snap.SPEnd(a, b) != tab.SPEnd(a, b) {
-					panic("concurrent SPEnd mismatch")
+				if m.SPEnd(a, b) != tab.SPEnd(a, b) {
+					t.Errorf("concurrent SPEnd(%d,%d) mismatch", a, b)
+					return
 				}
-				snap.Path(a, b)
+				m.Path(a, b)
 			}
 		}(w)
 	}
@@ -288,42 +263,115 @@ var fuzzGraphOnce = sync.OnceValue(func() *roadnet.Graph {
 	return g
 })
 
-// FuzzSnapshotOpen throws arbitrary bytes at the snapshot decoder: it must
-// either reject them with a typed error or produce a snapshot whose lookups
-// never panic.
+// reseal recomputes every checksum a snapshot carries — each in-bounds
+// section's payload CRC, then the directory and header CRCs — so fuzzer
+// mutations get past the CRCs to the structural checks behind them.
+func reseal(data []byte) []byte {
+	if len(data) < snapHeaderLen+4 {
+		return data
+	}
+	b := bytes.Clone(data)
+	nsec := int(binary.LittleEndian.Uint32(b[20:24]))
+	dirStart := snapHeaderLen + 4
+	if dirEnd := dirStart + hierDirEntryLen*nsec; nsec <= 1024 && len(b) >= dirEnd+4 {
+		for i := 0; i < nsec; i++ {
+			e := b[dirStart+hierDirEntryLen*i:]
+			off, n := binary.LittleEndian.Uint64(e[4:12]), binary.LittleEndian.Uint64(e[12:20])
+			if off >= uint64(dirEnd+4) && off <= uint64(len(b)) && n <= uint64(len(b))-off {
+				binary.LittleEndian.PutUint32(e[20:24], crc32.ChecksumIEEE(b[off:off+n]))
+			}
+		}
+		binary.LittleEndian.PutUint32(b[dirEnd:], crc32.ChecksumIEEE(b[dirStart:dirEnd]))
+	}
+	binary.LittleEndian.PutUint32(b[snapHeaderLen:], crc32.ChecksumIEEE(b[:snapHeaderLen]))
+	return b
+}
+
+// FuzzSnapshotOpen throws arbitrary bytes at the snapshot decoder the way a
+// serving process meets an untrusted file: parse (header and directory),
+// then the first-touch payload validation, then a bounded set of queries.
+// Every input must end in a typed ErrBadSnapshot/ErrSnapshotMismatch or in
+// answers identical to the table's — a damaged payload degrades to exact
+// rows — never in a panic or a hang. With resealed set, the input's
+// checksums are recomputed first, so the mutations reach the structural
+// validation; a resealed hierarchy that passes it may be a consistent
+// forgery whose answers differ, so there only the no-panic, no-hang half
+// of the contract is checked.
 func FuzzSnapshotOpen(f *testing.F) {
 	g := fuzzGraphOnce()
-	tab := NewTable(g)
-	tab.PrecomputeAll()
 	var buf bytes.Buffer
-	if _, err := tab.WriteSnapshot(&buf); err != nil {
+	if _, err := NewHier(g).WriteSnapshot(&buf); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:snapIndexStart])
-	f.Add([]byte{})
-	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)-1] ^= 1
-	f.Add(flipped)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := parseSnapshot(data, g)
+	flip := func(i int) []byte {
+		b := bytes.Clone(valid)
+		b[i] ^= 1
+		return b
+	}
+	f.Add(valid, false)
+	f.Add([]byte{}, false)
+	f.Add(flip(snapHeaderLen), false) // header CRC
+	nsec := int(binary.LittleEndian.Uint32(valid[20:24]))
+	dirEnd := snapHeaderLen + 4 + hierDirEntryLen*nsec
+	f.Add(flip(dirEnd), false) // directory CRC
+	// Truncations at every section boundary, and one flipped byte inside
+	// every payload — caught by its CRC as is, by the structural checks
+	// once resealed.
+	for _, cut := range []int{snapHeaderLen, snapHeaderLen + 4, dirEnd, dirEnd + 4} {
+		f.Add(valid[:cut], false)
+	}
+	for i := 0; i < nsec; i++ {
+		e := valid[snapHeaderLen+4+hierDirEntryLen*i:]
+		off := int(binary.LittleEndian.Uint64(e[4:12]))
+		length := int(binary.LittleEndian.Uint64(e[12:20]))
+		f.Add(valid[:off+length/2], false)
+		f.Add(valid[:off+length], false)
+		if length > 0 {
+			f.Add(flip(off+length/2), false)
+			f.Add(flip(off+length/2), true)
+		}
+	}
+
+	tab := NewTable(g)
+	tab.PrecomputeAll()
+	typed := func(t *testing.T, err error) {
+		if !errors.Is(err, ErrBadSnapshot) && !errors.Is(err, ErrSnapshotMismatch) {
+			t.Fatalf("untyped decode error: %v", err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, resealed bool) {
+		if resealed {
+			data = reseal(data)
+		}
+		h, err := parseHierSnapshot(data, g)
 		if err != nil {
-			if !errors.Is(err, ErrBadSnapshot) && !errors.Is(err, ErrSnapshotMismatch) {
-				t.Fatalf("untyped decode error: %v", err)
-			}
+			typed(t, err)
 			return
 		}
+		h.finish(HierOptions{})
+		verr := h.EnsureValid()
+		if verr != nil {
+			typed(t, verr)
+		}
+		exact := verr != nil || !resealed
 		n := g.NumEdges()
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
 				src, dst := roadnet.EdgeID(a), roadnet.EdgeID(b)
-				snap.SPEnd(src, dst)
-				snap.Dist(src, dst)
-				snap.GapDist(src, dst)
-				snap.Path(src, dst)
-				snap.Reachable(src, dst)
+				d, e, p := h.Dist(src, dst), h.SPEnd(src, dst), h.Path(src, dst)
+				if !exact {
+					continue
+				}
+				if want := tab.Dist(src, dst); math.Float64bits(d) != math.Float64bits(want) {
+					t.Fatalf("Dist(%d,%d) = %v, table %v", a, b, d, want)
+				}
+				if want := tab.SPEnd(src, dst); e != want {
+					t.Fatalf("SPEnd(%d,%d) = %d, table %d", a, b, e, want)
+				}
+				if want := tab.Path(src, dst); !slices.Equal(p, want) {
+					t.Fatalf("Path(%d,%d) = %v, table %v", a, b, p, want)
+				}
 			}
 		}
 	})

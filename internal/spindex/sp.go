@@ -4,22 +4,23 @@ import "press/internal/roadnet"
 
 // SP is the shortest-path source every PRESS component consumes: the §3.1
 // contract (SPend lookups, distances, canonical path reconstruction) without
-// committing to where the all-pair rows live. Three implementations ship:
+// committing to where the all-pair answers come from. Two implementations
+// ship:
 //
-//   - *Table keeps rows on the Go heap, computed lazily (or bulk-materialized
-//     by PrecomputeAll*) — the right shape while rows are still being built;
-//   - *Snapshot serves rows from a read-only memory-mapped file written by
-//     Table.WriteSnapshot — the right shape for serving: N processes share
-//     one copy through the page cache and reopening performs no Dijkstra
-//     work;
-//   - *Hier drops the all-pair rows entirely for a contraction hierarchy
-//     over the line graph — O(|E| + shortcuts) memory and bidirectional
-//     upward searches, the right shape once |E|² rows stop fitting anywhere.
+//   - *Hier is the one the system builds, persists, maps and serves: a
+//     contraction hierarchy over the line graph — O(|E| + shortcuts) memory
+//     and bidirectional upward searches — built on the heap by NewHier or
+//     memory-mapped read-only from a snapshot by OpenHierMapped, so N
+//     processes share one copy through the page cache;
+//   - *Table keeps the paper's all-pair rows on the Go heap, computed lazily
+//     (or bulk-materialized by PrecomputeAll*). It is the reference the
+//     hierarchy is tested against and the paper-preprocessing axis of the
+//     experiments, and its row Dijkstra (dijkstraRow) is the fallback Hier
+//     expands hot or degraded sources with.
 //
-// All are safe for concurrent use, and all return identical answers for
-// the same graph (Table's canonical tie-breaking is serialized into the
-// snapshot verbatim and reproduced by Hier's unpack-and-resum query; see
-// hier.go for the exact contract), so swapping one for another never
+// Both are safe for concurrent use and return identical answers for the same
+// graph (Hier's unpack-and-resum query reproduces Table's canonical
+// tie-breaking; see hier.go for the exact contract), so the choice never
 // changes compression output or query results.
 type SP interface {
 	// SPEnd returns the edge right before dst on the canonical shortest
@@ -44,6 +45,5 @@ type SP interface {
 // Compile-time checks: every implementation satisfies the contract.
 var (
 	_ SP = (*Table)(nil)
-	_ SP = (*Snapshot)(nil)
 	_ SP = (*Hier)(nil)
 )

@@ -18,13 +18,13 @@
 // predecessor edge id) so there is a single canonical shortest path per edge
 // pair, eliminating the ambiguity §3.1 warns about.
 //
-// Consumers program against the SP interface (sp.go); Table is the heap
-// implementation. Snapshot (snapshot.go) serves the same rows from a
-// read-only memory-mapped file written by Table.WriteSnapshot, so large
-// networks share one table across processes and reopen without re-running
-// any Dijkstra. Hier (hier.go) replaces the all-pair rows with a contraction
-// hierarchy over the same line graph — O(|E| + shortcuts) memory instead of
-// O(|E|²) — while returning answers identical to Table.
+// Consumers program against the SP interface (sp.go). Hier (hier.go) is the
+// source the system serves: a contraction hierarchy over the same line graph
+// — O(|E| + shortcuts) memory instead of O(|E|²) — returning answers
+// identical to Table's, persisted as the PRSP snapshot (hiersnap.go) that
+// processes memory-map back without rebuilding. Table stays as the test
+// oracle, the paper-preprocessing axis of the experiments and, through
+// dijkstraRow, the fallback Hier expands rows with.
 package spindex
 
 import (
@@ -344,7 +344,7 @@ func (t *Table) CachedRows() int {
 
 // Sizes of the row components, for the MemoryBytes estimate.
 const (
-	edgeIDBytes      = 4  // roadnet.EdgeID is an int32
+	edgeIDBytes      = 4 // roadnet.EdgeID is an int32
 	float64Bytes     = 8
 	sliceHeaderBytes = 24 // ptr + len + cap on 64-bit platforms
 )
@@ -367,9 +367,3 @@ func (t *Table) MemoryBytes() int {
 	}
 	return total
 }
-
-// MappedBytes reports file-backed, page-cache-shared bytes. A heap Table
-// maps nothing, so it always reports 0; the counterpart lives on Snapshot,
-// where MemoryBytes/MappedBytes split heap fallback rows from the read-only
-// mapping.
-func (t *Table) MappedBytes() int { return 0 }

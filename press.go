@@ -45,7 +45,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -130,12 +129,6 @@ type Config struct {
 	NSTD float64
 	// Matcher tunes the HMM map matcher.
 	Matcher MatcherOptions
-	// PrecomputeShortestPaths materializes the full all-pair table up front
-	// (the paper's preprocessing); when false, rows are computed lazily.
-	PrecomputeShortestPaths bool
-	// PrecomputeWorkers shards the precompute over this many workers
-	// (0 = GOMAXPROCS). Only consulted when PrecomputeShortestPaths is set.
-	PrecomputeWorkers int
 	// StoreShards is the segment-file count for fleet stores created
 	// through System.NewFleetStore (0 or 1 = a single shard). More shards
 	// let more pipeline tails append concurrently; shard assignment is a
@@ -162,68 +155,22 @@ type Config struct {
 	// STR index when the store changes. Consulted by NewServer when the
 	// per-server ServerOptions leave the knob false.
 	IncrementalIndex bool
-	// SPMode selects the shortest-path implementation behind the system:
-	// SPModeTable (all-pairs rows on the heap, lazily or precomputed),
-	// SPModeSnapshot (the all-pairs table memory-mapped from
-	// SPSnapshotPath) or SPModeHier (the contraction hierarchy: O(|E| +
-	// shortcuts) memory, answers bit-identical to the table). Empty infers
-	// the pre-SPMode behavior: snapshot when SPSnapshotPath is set, table
-	// otherwise. SPModeHier combines with SPSnapshotPath the same way
-	// SPModeSnapshot does — the file is a regenerable cache of the
-	// hierarchy (PRSP v2), mapped when present and valid, rebuilt and
-	// rewritten on a miss.
-	SPMode SPMode
-	// SPBuildWorkers sets how many goroutines the SPModeHier contraction
-	// build runs on (0 = GOMAXPROCS). The hierarchy — and any PRSP v2
-	// snapshot written from it — is byte-identical at every worker count;
-	// the knob only trades build wall-clock for CPU.
+	// SPBuildWorkers sets how many goroutines the contraction-hierarchy
+	// build runs on (0 = GOMAXPROCS). The hierarchy — and any snapshot
+	// written from it — is byte-identical at every worker count; the knob
+	// only trades build wall-clock for CPU.
 	SPBuildWorkers int
-	// SPSnapshotPath makes the shortest-path table disk-resident: when the
-	// file exists and matches the graph, NewSystem memory-maps it read-only
-	// (no Dijkstra work on reopen, and N processes share one copy via the
-	// page cache); on a cache miss — missing, corrupt or mismatched file,
-	// or a partial snapshot while PrecomputeShortestPaths demands the full
-	// table — NewSystem materializes the full table (SPSnapshotPath implies
-	// PrecomputeShortestPaths on a miss) and writes the snapshot there for
-	// the next boot. Open failures that are not cache misses (permissions,
-	// I/O) fail construction instead of triggering a silent precompute.
-	// Empty keeps the table on the heap. See also SaveSPSnapshot and
+	// SPSnapshotPath makes the shortest-path hierarchy disk-resident: the
+	// file is a regenerable cache of it. When the file exists, matches the
+	// graph and passes full validation, NewSystem memory-maps it read-only
+	// (no contraction on reopen, and N processes share one copy via the page
+	// cache); on a cache miss — missing, corrupt or mismatched file —
+	// NewSystem builds the hierarchy and writes the snapshot there for the
+	// next boot. Open failures that are not cache misses (permissions, I/O)
+	// fail construction instead of triggering a silent rebuild. Empty keeps
+	// the hierarchy on the heap. See also SaveSPSnapshot and
 	// NewSystemFromSnapshot.
 	SPSnapshotPath string
-}
-
-// SPMode names a shortest-path implementation choice for Config.SPMode.
-type SPMode string
-
-// The shortest-path implementations a System can be configured with. All
-// three return bit-identical answers; they trade precompute time and memory
-// differently (see internal/spindex and DESIGN.md "Hierarchical SP").
-const (
-	// SPModeTable serves shortest paths from all-pairs rows on the Go heap,
-	// computed lazily per source or all up front with
-	// PrecomputeShortestPaths.
-	SPModeTable SPMode = "table"
-	// SPModeSnapshot memory-maps a precomputed all-pairs table from
-	// SPSnapshotPath (the v1 snapshot format), regenerating the file on a
-	// cache miss.
-	SPModeSnapshot SPMode = "snapshot"
-	// SPModeHier serves shortest paths from a contraction hierarchy over
-	// the line graph: O(|E| + shortcuts) memory instead of O(|E|²), with
-	// answers bit-identical to the table. With SPSnapshotPath set the
-	// hierarchy is mapped from / cached to the file (PRSP v2).
-	SPModeHier SPMode = "hier"
-)
-
-// resolve returns the effective mode: empty infers snapshot when a snapshot
-// path is configured, table otherwise (the pre-SPMode behavior).
-func (m SPMode) resolve(snapshotPath string) SPMode {
-	if m != "" {
-		return m
-	}
-	if snapshotPath != "" {
-		return SPModeSnapshot
-	}
-	return SPModeTable
 }
 
 // DefaultConfig returns the paper's defaults: θ = 3, zero-error temporal
@@ -232,15 +179,10 @@ func DefaultConfig() Config {
 	return Config{Theta: 3, Matcher: mapmatch.DefaultOptions()}
 }
 
-// spCloser is the releasable face of a mapped SP source; both
-// *spindex.Snapshot and *spindex.Hier satisfy it.
-type spCloser interface{ Close() error }
-
 // System is the assembled PRESS pipeline over one road network.
 type System struct {
 	graph      *roadnet.Graph
-	sp         spindex.SP
-	spClose    spCloser // non-nil when sp holds a file mapping to release
+	sp         *spindex.Hier // the shortest-path source (nil only when assembled over a Table reference)
 	cb         *core.Codebook
 	compressor *core.Compressor
 	engine     *query.Engine
@@ -250,105 +192,49 @@ type System struct {
 
 // NewSystem trains the FST codebook on the given training paths (full edge
 // paths; they are SP-compressed internally, as the paper's pipeline does)
-// and assembles the compressor, query engine and map matcher.
+// and assembles the compressor, query engine and map matcher over a
+// contraction hierarchy of g — built on the heap, or mapped from and cached
+// to Config.SPSnapshotPath.
 func NewSystem(g *Graph, training []Path, cfg Config) (*System, error) {
 	if g == nil {
 		return nil, errors.New("press: nil graph")
 	}
-	var (
-		sp     spindex.SP
-		closer spCloser
-	)
-	switch mode := cfg.SPMode.resolve(cfg.SPSnapshotPath); mode {
-	case SPModeHier:
-		// Same cache contract as the table snapshot below, for the PRSP v2
-		// hierarchy format: a stale entry falls through to rebuilding the
-		// hierarchy and rewriting the file; non-miss open failures are real.
-		// EnsureValid forces the deferred payload validation here — a system
-		// built through NewSystem wants the rebuild-on-corruption behavior,
-		// not the serve-degraded behavior of NewSystemFromSnapshot.
-		if cfg.SPSnapshotPath != "" {
-			h, err := spindex.OpenHierMapped(cfg.SPSnapshotPath, g)
-			if err == nil {
-				if verr := h.EnsureValid(); verr != nil {
-					h.Close()
-					err = verr
-				} else {
-					sp, closer = h, h
-				}
-			}
-			if err != nil && !isSnapshotCacheMiss(err) {
-				return nil, fmt.Errorf("press: opening SP snapshot: %w", err)
+	var h *spindex.Hier
+	if cfg.SPSnapshotPath != "" {
+		// EnsureValid forces the deferred payload validation here: a system
+		// built through NewSystem wants rebuild-on-corruption, not the
+		// serve-degraded behavior of NewSystemFromSnapshot.
+		m, err := spindex.OpenHierMapped(cfg.SPSnapshotPath, g)
+		if err == nil {
+			if err = m.EnsureValid(); err != nil {
+				m.Close()
+			} else {
+				h = m
 			}
 		}
-		if sp == nil {
-			h := spindex.NewHierWith(g, spindex.HierOptions{BuildWorkers: cfg.SPBuildWorkers})
-			if cfg.SPSnapshotPath != "" {
-				if err := h.SaveSnapshot(cfg.SPSnapshotPath); err != nil {
-					return nil, fmt.Errorf("press: saving SP snapshot: %w", err)
-				}
-			}
-			sp = h
+		if err != nil && !spindex.IsCacheMiss(err) {
+			return nil, fmt.Errorf("press: opening SP snapshot: %w", err)
 		}
-	case SPModeTable, SPModeSnapshot:
-		if mode == SPModeSnapshot && cfg.SPSnapshotPath != "" {
-			// The snapshot is a derived cache of the graph: a stale entry —
-			// missing file, truncation/corruption, fingerprint mismatch after
-			// a network update, or a partial snapshot when the full table was
-			// requested — falls through to recomputing and rewriting it. Any
-			// other failure (permissions, I/O) is real and must not be
-			// papered over with an expensive silent precompute every boot.
-			s, err := spindex.OpenMapped(cfg.SPSnapshotPath, g)
-			switch {
-			case err == nil && cfg.PrecomputeShortestPaths && s.Rows() < g.NumEdges():
-				s.Close()
-			case err == nil:
-				sp, closer = s, s
-			case isSnapshotCacheMiss(err):
-				// cache miss: regenerate below
-			default:
-				return nil, fmt.Errorf("press: opening SP snapshot: %w", err)
-			}
-		}
-		if sp == nil {
-			tab := spindex.NewTable(g)
-			if cfg.PrecomputeShortestPaths || cfg.SPSnapshotPath != "" {
-				if cfg.PrecomputeWorkers > 0 {
-					tab.PrecomputeAllParallel(cfg.PrecomputeWorkers)
-				} else {
-					tab.PrecomputeAll()
-				}
-			}
-			if cfg.SPSnapshotPath != "" {
-				if err := tab.SaveSnapshot(cfg.SPSnapshotPath); err != nil {
-					return nil, fmt.Errorf("press: saving SP snapshot: %w", err)
-				}
-			}
-			sp = tab
-		}
-	default:
-		return nil, fmt.Errorf("press: unknown SPMode %q", cfg.SPMode)
 	}
-	sys, err := assembleSystem(g, sp, closer, training, cfg)
-	if err != nil && closer != nil {
-		closer.Close()
+	if h == nil {
+		h = spindex.NewHierWith(g, spindex.HierOptions{BuildWorkers: cfg.SPBuildWorkers})
+		if cfg.SPSnapshotPath != "" {
+			if err := h.SaveSnapshot(cfg.SPSnapshotPath); err != nil {
+				return nil, fmt.Errorf("press: saving SP snapshot: %w", err)
+			}
+		}
+	}
+	sys, err := assembleSystem(g, h, h, training, cfg)
+	if err != nil {
+		h.Close()
 	}
 	return sys, err
 }
 
-// isSnapshotCacheMiss reports whether an SP snapshot open failure means the
-// file is a regenerable stale cache entry (absent, damaged, or for another
-// graph) rather than a real I/O or permission problem.
-func isSnapshotCacheMiss(err error) bool {
-	return errors.Is(err, os.ErrNotExist) ||
-		errors.Is(err, spindex.ErrBadSnapshot) ||
-		errors.Is(err, spindex.ErrSnapshotMismatch)
-}
-
-// assembleSystem builds the trained pipeline components over an SP source of
-// any implementation; closer, when non-nil, is the mapping to release on
-// System.Close.
-func assembleSystem(g *Graph, sp spindex.SP, closer spCloser, training []Path, cfg Config) (*System, error) {
+// assembleSystem builds the trained pipeline components over sp; h is the
+// hierarchy the System reports on and releases on Close (sp itself in every
+// exported constructor).
+func assembleSystem(g *Graph, sp spindex.SP, h *spindex.Hier, training []Path, cfg Config) (*System, error) {
 	if cfg.Theta <= 0 {
 		cfg.Theta = 3
 	}
@@ -376,83 +262,62 @@ func assembleSystem(g *Graph, sp spindex.SP, closer spCloser, training []Path, c
 		return nil, err
 	}
 	return &System{
-		graph: g, sp: sp, spClose: closer, cb: cb,
+		graph: g, sp: h, cb: cb,
 		compressor: compressor, engine: engine, matcher: matcher, cfg: cfg,
 	}, nil
 }
 
 // NewSystemFromSnapshot assembles a System whose shortest-path source is the
-// snapshot file at path, memory-mapped read-only. The format version is
-// dispatched automatically: a v1 file maps the all-pairs table, a v2 file
-// maps the contraction hierarchy. In both cases construction performs no
-// Dijkstra work (a v2 open validates only the header and section directory —
-// payload checksums are deferred to first use, and a damaged payload
-// degrades that hierarchy to exact per-row recomputation instead of failing
-// the boot), and N processes built over the same file share one physical
-// copy via the page cache. Unlike NewSystem with Config.SPSnapshotPath
-// (which treats the snapshot as a regenerable cache), a missing or
-// mismatched snapshot is an error here. Close the returned System to
-// release the mapping.
+// hierarchy snapshot at path, memory-mapped read-only. Construction performs
+// no contraction and no Dijkstra work: the open validates only the header
+// and section directory, payload checksums are deferred to first use, and a
+// damaged payload degrades the hierarchy to exact per-row recomputation
+// instead of failing the boot. N processes built over the same file share
+// one physical copy via the page cache. Unlike NewSystem with
+// Config.SPSnapshotPath (which treats the snapshot as a regenerable cache),
+// a missing or mismatched snapshot is an error here. Close the returned
+// System to release the mapping.
 func NewSystemFromSnapshot(g *Graph, training []Path, path string, cfg Config) (*System, error) {
 	if g == nil {
 		return nil, errors.New("press: nil graph")
 	}
-	sp, err := spindex.OpenSnapshotMapped(path, g)
+	h, err := spindex.OpenHierMapped(path, g)
 	if err != nil {
 		return nil, err
 	}
-	closer := sp.(spCloser) // both snapshot implementations are closeable
-	sys, err := assembleSystem(g, sp, closer, training, cfg)
+	sys, err := assembleSystem(g, h, h, training, cfg)
 	if err != nil {
-		closer.Close()
+		h.Close()
 		return nil, err
 	}
 	return sys, nil
 }
 
-// SaveSPSnapshot serializes the system's shortest-path source to path in its
-// versioned snapshot format: a heap table writes the v1 all-pairs layout
-// (every currently materialized row; combine with
-// Config.PrecomputeShortestPaths for a full table), a heap hierarchy writes
-// the PRSP v2 layout. It fails when the system's SP source already is a
-// mapped snapshot — the file it was opened from is the snapshot.
+// SaveSPSnapshot writes the system's heap-built hierarchy to path as a
+// snapshot for later boots. It fails when the hierarchy already is a mapped
+// snapshot — the file it was opened from is the snapshot.
 func (s *System) SaveSPSnapshot(path string) error {
-	switch sp := s.sp.(type) {
-	case *spindex.Table:
-		return sp.SaveSnapshot(path)
-	case *spindex.Hier:
-		if sp.Mapped() {
-			return errors.New("press: SP source is already a mapped snapshot")
-		}
-		return sp.SaveSnapshot(path)
-	default:
+	if s.sp.Mapped() {
 		return errors.New("press: SP source is already a mapped snapshot")
 	}
+	return s.sp.SaveSnapshot(path)
 }
 
 // Close releases resources the system holds — today, the shortest-path
 // snapshot mapping when the system was built over one. Systems with a heap
-// SP source need no Close; calling it anyway is a no-op.
-func (s *System) Close() error {
-	if s.spClose != nil {
-		return s.spClose.Close()
-	}
-	return nil
-}
+// hierarchy need no Close; calling it anyway is a no-op.
+func (s *System) Close() error { return s.sp.Close() }
 
 // SPStats describes the system's shortest-path source for capacity
-// accounting: which implementation is active, heap bytes vs file-backed
-// mapped bytes, and how many rows are materialized on the heap (for a
-// mapped table, fallback rows computed for sources absent from the
-// snapshot; for a hierarchy, the expanded-row LRU).
+// accounting: heap bytes vs file-backed mapped bytes, and how many exact
+// rows the hierarchy's hot-source LRU holds on the heap.
 type SPStats struct {
-	Kind        string // active implementation: "table", "snapshot" or "hier"
+	Kind        string // active implementation: always "hier"
 	Mapped      bool   // SP source is a memory-mapped snapshot
-	CachedRows  int    // rows materialized on the Go heap
-	HeapBytes   int    // estimated heap bytes of those rows
+	CachedRows  int    // exact rows materialized on the Go heap
+	HeapBytes   int    // estimated heap bytes of the source
 	MappedBytes int    // bytes served from the read-only mapping
 
-	// Hier-only accounting (zero for table/snapshot systems).
 	BuildWorkers     int    // goroutines the contraction build ran on
 	WitnessSettleCap int    // resolved witness settle cap (knob or density-derived)
 	RowCacheBytes    int    // heap bytes of the hot-source exact-row LRU
@@ -463,31 +328,23 @@ type SPStats struct {
 
 // SPStats reports the current shortest-path source accounting.
 func (s *System) SPStats() SPStats {
-	switch sp := s.sp.(type) {
-	case *spindex.Snapshot:
-		return SPStats{Kind: string(SPModeSnapshot), Mapped: true, CachedRows: sp.CachedRows(), HeapBytes: sp.MemoryBytes(), MappedBytes: sp.MappedBytes()}
-	case *spindex.Table:
-		return SPStats{Kind: string(SPModeTable), CachedRows: sp.CachedRows(), HeapBytes: sp.MemoryBytes()}
-	case *spindex.Hier:
-		uh, um, ub := sp.UnpackCacheStats()
-		workers := sp.BuildWorkers()
-		if workers == 0 {
-			// A mapped hierarchy did no contraction in this process; report
-			// the worker count a rebuild would use so operators can see the
-			// effective configuration either way.
-			workers = s.cfg.SPBuildWorkers
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
+	h := s.sp
+	uh, um, ub := h.UnpackCacheStats()
+	workers := h.BuildWorkers()
+	if workers == 0 {
+		// A mapped hierarchy did no contraction in this process; report the
+		// worker count a rebuild would use so operators can see the
+		// effective configuration either way.
+		workers = s.cfg.SPBuildWorkers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
 		}
-		return SPStats{
-			Kind: string(SPModeHier), Mapped: sp.Mapped(),
-			CachedRows: sp.CachedRows(), HeapBytes: sp.MemoryBytes(), MappedBytes: sp.MappedBytes(),
-			BuildWorkers: workers, WitnessSettleCap: sp.WitnessCap(), RowCacheBytes: sp.RowCacheBytes(),
-			UnpackHits: uh, UnpackMisses: um, UnpackBytes: ub,
-		}
-	default:
-		return SPStats{}
+	}
+	return SPStats{
+		Kind: "hier", Mapped: h.Mapped(),
+		CachedRows: h.CachedRows(), HeapBytes: h.MemoryBytes(), MappedBytes: h.MappedBytes(),
+		BuildWorkers: workers, WitnessSettleCap: h.WitnessCap(), RowCacheBytes: h.RowCacheBytes(),
+		UnpackHits: uh, UnpackMisses: um, UnpackBytes: ub,
 	}
 }
 

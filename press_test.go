@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"press/internal/core"
 )
 
 // buildSystem generates a small dataset and a System trained on half of it.
@@ -354,20 +357,6 @@ func TestShardedFleetStoreFacade(t *testing.T) {
 	}
 }
 
-func TestPrecomputeOption(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PrecomputeShortestPaths = true
-	cfg.PrecomputeWorkers = 4
-	sys, ds := buildSystem(t, cfg)
-	ct, err := sys.Compress(ds.Truth[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct.SizeBytes() <= 0 {
-		t.Error("empty compression")
-	}
-}
-
 func TestReformatFacade(t *testing.T) {
 	sys, ds := buildSystem(t, DefaultConfig())
 	tr, err := Reformat(sys.Graph(), ds.Trips[0], ds.Raws[0])
@@ -561,5 +550,33 @@ func TestAdaptivePoolConfigFacade(t *testing.T) {
 	}
 	if len(results) != 4 {
 		t.Fatalf("got %d results", len(results))
+	}
+}
+
+// TestCompactFleetStoreFacade exercises the facade compaction wrapper.
+func TestCompactFleetStoreFacade(t *testing.T) {
+	dir := t.TempDir()
+	st, err := CreateShardedFleetStore(filepath.Join(dir, "src"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := &Compressed{Spatial: &core.SpatialCode{Bits: []byte{1, 2}, NBits: 12}, Temporal: Temporal{{D: 0, T: 0}, {D: 5, T: 9}}}
+	for i := 0; i < 3; i++ {
+		if err := st.Append(7, ct); err != nil { // same id three times
+			t.Fatal(err)
+		}
+	}
+	if err := st.Append(8, ct); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kept, dropped, err := CompactFleetStore(filepath.Join(dir, "src"), filepath.Join(dir, "dst"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept != 2 || dropped != 2 {
+		t.Fatalf("kept, dropped = %d, %d want 2, 2", kept, dropped)
 	}
 }

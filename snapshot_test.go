@@ -2,76 +2,31 @@ package press
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"press/internal/core"
-	"press/internal/spindex"
 )
 
-// snapshotFixture builds a dataset plus two equally trained systems: sysA
-// over the heap SP table (fully precomputed), sysB over a memory-mapped
-// snapshot of that same table.
-func snapshotFixture(t *testing.T) (*Dataset, *System, *System) {
-	t.Helper()
-	opt := DefaultDatasetOptions(20)
-	opt.City.Rows, opt.City.Cols = 6, 6
-	ds, err := GenerateDataset(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.TSND, cfg.NSTD = 50, 30
-	cfg.PrecomputeShortestPaths = true
-	sysA, err := NewSystem(ds.Graph, ds.Trips[:10], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "sp.snap")
-	if err := sysA.SaveSPSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	sysB, err := NewSystemFromSnapshot(ds.Graph, ds.Trips[:10], path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sysB.Close() })
-	return ds, sysA, sysB
-}
-
-// TestSnapshotSystemEquivalence is the acceptance property: compression
-// output (batch and online) is byte-identical and query answers are
-// identical whether the SP source is the heap Table or a mapped Snapshot —
-// and the snapshot system performs no Dijkstra work while doing it.
+// TestSnapshotSystemEquivalence is the acceptance property for the mapped
+// boot: compression output (batch and online) is byte-identical and query
+// answers are identical between a system over a memory-mapped snapshot and
+// one over the all-pairs table.
 func TestSnapshotSystemEquivalence(t *testing.T) {
-	ds, sysA, sysB := snapshotFixture(t)
-	if !sysB.SPStats().Mapped {
+	ds, ref, _, mapped := spFixture(t)
+	if !mapped.SPStats().Mapped {
 		t.Fatal("snapshot system does not report a mapped SP source")
 	}
+	assertSameAnswers(t, ds, ref, mapped)
 
-	var fleet []*Compressed
-	for i, raw := range ds.Raws {
-		ctA, errA := sysA.CompressGPS(raw)
-		ctB, errB := sysB.CompressGPS(raw)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("raw %d: error mismatch: table %v, snapshot %v", i, errA, errB)
-		}
-		if errA != nil {
-			continue
-		}
-		if !bytes.Equal(ctA.Marshal(), ctB.Marshal()) {
-			t.Fatalf("raw %d: batch compression bytes differ between table and snapshot", i)
-		}
-		fleet = append(fleet, ctA)
-
-		// Online path over the snapshot-backed compressor vs batch over the
-		// heap table.
-		oc, err := core.NewOnlineCompressor(sysB.compressor)
+	// Online path over the mapped compressor vs batch over the table.
+	for i, tr := range ds.Truth {
+		oc, err := core.NewOnlineCompressor(mapped.compressor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := ds.Truth[i]
 		err = tr.Replay(
 			func(e EdgeID) error { oc.PushEdge(e); return nil },
 			func(p TemporalEntry) error { oc.PushSample(p); return nil },
@@ -83,72 +38,24 @@ func TestSnapshotSystemEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctBatch, err := sysA.Compress(tr)
+		ctBatch, err := ref.Compress(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(ctOnline.Marshal(), ctBatch.Marshal()) {
 			t.Fatalf("trajectory %d: online-over-snapshot bytes differ from batch-over-table", i)
 		}
-
-		// Exact round trip through the snapshot system.
-		back, err := sysB.Decompress(ctB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(back.Path) == 0 {
-			t.Fatalf("raw %d: empty decompressed path", i)
-		}
 	}
-	if len(fleet) < 2 {
-		t.Fatalf("only %d compressible trajectories", len(fleet))
-	}
-
-	// Query answers must be identical, not merely within bounds.
-	region := NewMBR(Point{X: 100, Y: 100}, Point{X: 900, Y: 900})
-	for i, ct := range fleet {
-		mid := (ct.Temporal[0].T + ct.Temporal[len(ct.Temporal)-1].T) / 2
-		pa, errA := sysA.WhereAt(ct, mid)
-		pb, errB := sysB.WhereAt(ct, mid)
-		if (errA == nil) != (errB == nil) || pa != pb {
-			t.Fatalf("ct %d: WhereAt diverges: (%v,%v) vs (%v,%v)", i, pa, errA, pb, errB)
-		}
-		if errA == nil {
-			ta, errA := sysA.WhenAt(ct, pa)
-			tb, errB := sysB.WhenAt(ct, pb)
-			if (errA == nil) != (errB == nil) || ta != tb {
-				t.Fatalf("ct %d: WhenAt diverges: %v vs %v", i, ta, tb)
-			}
-		}
-		ra, errA := sysA.Range(ct, ct.Temporal[0].T, mid, region)
-		rb, errB := sysB.Range(ct, ct.Temporal[0].T, mid, region)
-		if (errA == nil) != (errB == nil) || ra != rb {
-			t.Fatalf("ct %d: Range diverges: %v vs %v", i, ra, rb)
-		}
-	}
-	da, errA := sysA.MinDistance(fleet[0], fleet[1])
-	db, errB := sysB.MinDistance(fleet[0], fleet[1])
-	if (errA == nil) != (errB == nil) || da != db {
-		t.Fatalf("MinDistance diverges: %v vs %v", da, db)
-	}
-
-	// The whole run — training, compression, queries — must have been served
-	// from the mapping: zero fallback Dijkstra rows.
-	stats := sysB.SPStats()
-	if stats.CachedRows != 0 {
-		t.Fatalf("snapshot system computed %d fallback rows; want 0 (no Dijkstra on reopen)", stats.CachedRows)
-	}
-	if stats.HeapBytes != 0 {
-		t.Fatalf("snapshot system holds %d heap SP bytes; want 0", stats.HeapBytes)
-	}
-	if stats.MappedBytes == 0 {
+	if stats := mapped.SPStats(); stats.MappedBytes == 0 {
 		t.Fatal("snapshot system reports no mapped bytes")
 	}
 }
 
 // TestConfigSPSnapshotPathCache exercises the cache semantics: first boot
-// pays precompute and writes the snapshot, second boot maps it and computes
-// nothing, output stays byte-identical.
+// builds the hierarchy and writes the snapshot, second boot maps it with
+// byte-identical output, and a corrupt snapshot or a leftover file in the
+// retired all-pairs format is a cache miss that regenerates. The strict
+// NewSystemFromSnapshot boot maps the same file.
 func TestConfigSPSnapshotPathCache(t *testing.T) {
 	opt := DefaultDatasetOptions(12)
 	opt.City.Rows, opt.City.Cols = 5, 5
@@ -159,27 +66,26 @@ func TestConfigSPSnapshotPathCache(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TSND, cfg.NSTD = 50, 30
 	cfg.SPSnapshotPath = filepath.Join(t.TempDir(), "sp.snap")
+	boot := func(wantMapped bool) *System {
+		t.Helper()
+		sys, err := NewSystem(ds.Graph, ds.Trips[:6], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sys.Close() })
+		if s := sys.SPStats(); s.Mapped != wantMapped || s.Kind != "hier" {
+			t.Fatalf("boot stats = %+v; want kind hier, mapped %v", s, wantMapped)
+		}
+		return sys
+	}
 
-	first, err := NewSystem(ds.Graph, ds.Trips[:6], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer first.Close()
-	if first.SPStats().Mapped {
-		t.Fatal("first boot reports mapped SP source; snapshot did not exist yet")
-	}
+	first := boot(false)
 	if _, err := os.Stat(cfg.SPSnapshotPath); err != nil {
 		t.Fatalf("first boot did not write the snapshot: %v", err)
 	}
-
-	second, err := NewSystem(ds.Graph, ds.Trips[:6], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
-	stats := second.SPStats()
-	if !stats.Mapped {
-		t.Fatal("second boot did not map the snapshot")
+	second := boot(true)
+	if second.SPStats().MappedBytes == 0 {
+		t.Fatal("second boot maps no bytes")
 	}
 	for i, raw := range ds.Raws[:6] {
 		ctA, errA := first.CompressGPS(raw)
@@ -191,12 +97,9 @@ func TestConfigSPSnapshotPathCache(t *testing.T) {
 			t.Fatalf("raw %d: bytes differ across boots", i)
 		}
 	}
-	if got := second.SPStats().CachedRows; got != 0 {
-		t.Fatalf("second boot computed %d rows; want 0", got)
-	}
 
-	// A corrupted snapshot is a cache miss, not a failure: NewSystem
-	// regenerates it.
+	// A corrupted payload is a cache miss, not a failure: NewSystem
+	// revalidates eagerly, rebuilds and rewrites instead of serving degraded.
 	blob, err := os.ReadFile(cfg.SPSnapshotPath)
 	if err != nil {
 		t.Fatal(err)
@@ -205,21 +108,25 @@ func TestConfigSPSnapshotPathCache(t *testing.T) {
 	if err := os.WriteFile(cfg.SPSnapshotPath, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	third, err := NewSystem(ds.Graph, ds.Trips[:6], cfg)
-	if err != nil {
-		t.Fatalf("NewSystem over corrupt snapshot: %v", err)
+	boot(false)
+	boot(true)
+
+	// So is a leftover snapshot of the retired version-1 all-pairs layout.
+	v1 := make([]byte, 64)
+	copy(v1, "PRSP")
+	binary.LittleEndian.PutUint32(v1[4:8], 1)
+	if err := os.WriteFile(cfg.SPSnapshotPath, v1, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	defer third.Close()
-	if third.SPStats().Mapped {
-		t.Fatal("third boot mapped a corrupt snapshot")
-	}
-	fourth, err := NewSystem(ds.Graph, ds.Trips[:6], cfg)
+	boot(false)
+
+	strict, err := NewSystemFromSnapshot(ds.Graph, ds.Trips[:6], cfg.SPSnapshotPath, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fourth.Close()
-	if !fourth.SPStats().Mapped {
-		t.Fatal("regenerated snapshot did not map on the next boot")
+	defer strict.Close()
+	if s := strict.SPStats(); !s.Mapped || s.Kind != "hier" {
+		t.Fatalf("strict boot stats = %+v; want mapped hier", s)
 	}
 }
 
@@ -227,9 +134,9 @@ func TestConfigSPSnapshotPathCache(t *testing.T) {
 // must be readable by other processes (0644 like the store files), not
 // locked to the writing uid by CreateTemp's 0600.
 func TestSPSnapshotWorldReadable(t *testing.T) {
-	_, sysA, _ := snapshotFixture(t)
+	_, _, heap, _ := spFixture(t)
 	path := filepath.Join(t.TempDir(), "perm.snap")
-	if err := sysA.SaveSPSnapshot(path); err != nil {
+	if err := heap.SaveSPSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(path)
@@ -241,63 +148,9 @@ func TestSPSnapshotWorldReadable(t *testing.T) {
 	}
 }
 
-// TestSPSnapshotPartialVsPrecompute pins the cache-hit rule: a partial
-// snapshot does not satisfy PrecomputeShortestPaths — NewSystem regenerates
-// the full table and rewrites the file instead of mapping it and paying
-// Dijkstra spikes at serve time.
-func TestSPSnapshotPartialVsPrecompute(t *testing.T) {
-	opt := DefaultDatasetOptions(10)
-	opt.City.Rows, opt.City.Cols = 5, 5
-	ds, err := GenerateDataset(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "partial.snap")
-	tab := spindex.NewTable(ds.Graph)
-	tab.SPEnd(0, 1) // materialize a single row
-	if err := tab.SaveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.SPSnapshotPath = path
-	cfg.PrecomputeShortestPaths = true
-	sys, err := NewSystem(ds.Graph, ds.Trips[:5], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if sys.SPStats().Mapped {
-		t.Fatal("partial snapshot satisfied PrecomputeShortestPaths")
-	}
-	snap, err := spindex.OpenMapped(path, ds.Graph)
-	if err != nil {
-		t.Fatalf("regenerated snapshot unreadable: %v", err)
-	}
-	defer snap.Close()
-	if snap.Rows() != ds.Graph.NumEdges() {
-		t.Fatalf("regenerated snapshot has %d rows, want %d", snap.Rows(), ds.Graph.NumEdges())
-	}
-	// Without the precompute demand the same partial snapshot is a valid
-	// cache hit (lazy fallback mirrors lazy-table semantics).
-	tab2 := spindex.NewTable(ds.Graph)
-	tab2.SPEnd(0, 1)
-	if err := tab2.SaveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	cfg.PrecomputeShortestPaths = false
-	lazy, err := NewSystem(ds.Graph, ds.Trips[:5], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lazy.Close()
-	if !lazy.SPStats().Mapped {
-		t.Fatal("partial snapshot rejected despite lazy config")
-	}
-}
-
 // TestSPSnapshotPathFailsFast pins that open failures other than a cache
 // miss (here: the path is a directory, which cannot be mapped) surface as
-// construction errors instead of triggering a silent full precompute.
+// construction errors instead of triggering a silent rebuild.
 func TestSPSnapshotPathFailsFast(t *testing.T) {
 	opt := DefaultDatasetOptions(8)
 	opt.City.Rows, opt.City.Cols = 5, 5
@@ -315,36 +168,8 @@ func TestSPSnapshotPathFailsFast(t *testing.T) {
 // TestSaveSPSnapshotOnMappedSystem pins the error path: a system already
 // serving from a snapshot has nothing new to save.
 func TestSaveSPSnapshotOnMappedSystem(t *testing.T) {
-	_, _, sysB := snapshotFixture(t)
-	if err := sysB.SaveSPSnapshot(filepath.Join(t.TempDir(), "again.snap")); err == nil {
+	_, _, _, mapped := spFixture(t)
+	if err := mapped.SaveSPSnapshot(filepath.Join(t.TempDir(), "again.snap")); err == nil {
 		t.Fatal("SaveSPSnapshot on a mapped system succeeded")
-	}
-}
-
-// TestCompactFleetStoreFacade exercises the facade compaction wrapper.
-func TestCompactFleetStoreFacade(t *testing.T) {
-	dir := t.TempDir()
-	st, err := CreateShardedFleetStore(filepath.Join(dir, "src"), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := &Compressed{Spatial: &core.SpatialCode{Bits: []byte{1, 2}, NBits: 12}, Temporal: Temporal{{D: 0, T: 0}, {D: 5, T: 9}}}
-	for i := 0; i < 3; i++ {
-		if err := st.Append(7, ct); err != nil { // same id three times
-			t.Fatal(err)
-		}
-	}
-	if err := st.Append(8, ct); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	kept, dropped, err := CompactFleetStore(filepath.Join(dir, "src"), filepath.Join(dir, "dst"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kept != 2 || dropped != 2 {
-		t.Fatalf("kept, dropped = %d, %d want 2, 2", kept, dropped)
 	}
 }
