@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchsmoke benchtest streambench spbench spbenchsmoke spbuild spbuildsmoke serverbench querybench clusterbench serve smoke clustersmoke fuzz allocgate ci
+.PHONY: all build vet test race bench benchsmoke benchtest streambench spbench spbenchsmoke spbuild spbuildsmoke serverbench querybench clusterbench serve smoke clustersmoke fuzz allocgate fmtcheck ci
 
 all: ci
 
@@ -11,6 +11,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file (the bench/ module included) must be gofmt-clean; the
+# offending files are listed on failure.
+fmtcheck:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -109,4 +114,4 @@ fuzz:
 allocgate:
 	./scripts/allocgate.sh
 
-ci: build vet race benchsmoke benchtest fuzz allocgate spbenchsmoke spbuildsmoke smoke clustersmoke
+ci: fmtcheck build vet race benchsmoke benchtest fuzz allocgate spbenchsmoke spbuildsmoke smoke clustersmoke

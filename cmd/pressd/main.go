@@ -214,20 +214,14 @@ func main() {
 }
 
 // openOrCreateStore reopens an existing sharded store (recovering crash
-// tails) or creates a fresh one.
+// tails) or creates a fresh one; any other open failure, such as a path
+// that is not a store directory, is returned as is.
 func openOrCreateStore(dir string, shards int) (*press.ShardedFleetStore, error) {
 	st, err := press.OpenShardedFleetStore(dir)
-	if err == nil {
-		if st.Legacy() {
-			st.Close()
-			return nil, fmt.Errorf("pressd: %s is a read-only legacy v1 store; migrate it first", dir)
-		}
-		return st, nil
-	}
 	if errors.Is(err, os.ErrNotExist) {
 		return press.CreateShardedFleetStore(dir, shards)
 	}
-	return nil, err
+	return st, err
 }
 
 func loadNet(path string) *roadnet.Graph {

@@ -61,20 +61,21 @@ func main() {
 	fmt.Printf("serial ingest:   %4d ok in %v\n", okSerial, serial.Round(time.Millisecond))
 
 	// 4. The streaming pipeline into a fleet store. Results come back in
-	// submission order, so the store layout is deterministic.
+	// submission order, and each record is stored under its submission
+	// index as trajectory id.
 	dir, err := os.MkdirTemp("", "press-parallel")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	st, err := press.CreateFleetStore(dir + "/fleet.prss")
+	st, err := sys.NewFleetStore(dir + "/fleet")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer st.Close()
 
 	t0 = time.Now()
-	results, ids, err := sys.IngestGPSToStore(st, feed, workers)
+	results, err := sys.IngestGPSToShardedStore(st, feed, workers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,8 +86,7 @@ func main() {
 			fmt.Printf("  item %d failed alone: %v\n", i, res.Err)
 			continue
 		}
-		okPar++
-		_ = ids[i] // record id in the fleet store, in submission order
+		okPar++ // stored under its submission index: st.Get(uint64(i))
 	}
 	fmt.Printf("parallel ingest: %4d ok in %v on %d workers (%.2fx, %d stored)\n",
 		okPar, parallel.Round(time.Millisecond), workers,

@@ -6,8 +6,7 @@
 // pipeline into a 4-shard fleet store (one concurrent append tail per
 // shard), then reopens the store — per-shard index rebuild, crash-tail
 // recovery — and serves a fleet-level range query straight off disk through
-// the R-tree index. Finally, a legacy single-file store is migrated into
-// the sharded layout to show the upgrade path.
+// the R-tree index.
 package main
 
 import (
@@ -91,31 +90,4 @@ func main() {
 		fmt.Printf(" (first: record id %d)", fi.RecordID(hits[0]))
 	}
 	fmt.Println()
-
-	// 4. Migration: a legacy v1 single-file store opens read-only as the
-	// 1-shard degenerate case; Migrate rewrites it into the sharded layout.
-	legacy, err := press.CreateFleetStore(dir + "/legacy.prss")
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		ct, err := st2.Get(uint64(i))
-		if err != nil {
-			continue
-		}
-		if _, err := legacy.Append(ct); err != nil {
-			log.Fatal(err)
-		}
-	}
-	legacy.Close()
-	n, err := press.MigrateFleetStore(dir+"/legacy.prss", dir+"/migrated", 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mig, err := press.OpenShardedFleetStore(dir + "/migrated")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer mig.Close()
-	fmt.Printf("migrated legacy store: %d records now in %d shards\n", n, mig.Shards())
 }

@@ -50,8 +50,8 @@ type Compressed struct {
 	// Summary is the compressed-domain query filter derived at compress
 	// time. It is NOT part of the Marshal wire format and does not count
 	// toward SizeBytes (the paper's compression-ratio metric); the store
-	// layer persists it alongside the payload. May be nil for records read
-	// from pre-summary stores.
+	// layer persists it alongside the payload. May be nil for records
+	// stored without a summary.
 	Summary *BoundingSummary
 }
 

@@ -532,17 +532,9 @@ func (p *Pipeline) Results() <-chan Result {
 	return p.out
 }
 
-// Sink consumes compressed trajectories in submission order; store.Store
-// satisfies it.
-type Sink interface {
-	Append(ct *core.Compressed) (int, error)
-}
-
 // IDSink consumes compressed trajectories keyed by trajectory id and is
-// safe for concurrent Appends; store.ShardedStore satisfies it. Keying by
-// id (instead of an append-order index) is what frees the storage tail from
-// the single-writer serialization of Sink: placement is a pure function of
-// the id, so any number of tails can append at once.
+// safe for concurrent Appends; store.ShardedStore satisfies it. Placement
+// is a pure function of the id, so any number of tails can append at once.
 type IDSink interface {
 	Append(id uint64, ct *core.Compressed) error
 }
@@ -649,41 +641,4 @@ func RunToShardedStoreContext(ctx context.Context, m *mapmatch.Matcher, c *core.
 		return out, err
 	}
 	return out, nil
-}
-
-// RunToStore is Run with a storage tail stage: every successfully compressed
-// trajectory is appended to the sink in submission order, and its Result
-// records the append error, if any, in Err. The returned ids slice maps each
-// input index to its record id in the sink, or -1 for failed items.
-func RunToStore(m *mapmatch.Matcher, c *core.Compressor, sink Sink, raws []traj.Raw, opt Options) ([]Result, []int, error) {
-	return RunToStoreContext(context.Background(), m, c, sink, raws, opt)
-}
-
-// RunToStoreContext is RunToStore bound to a context; cancellation stops
-// the batch early with every unprocessed item marked failed (id -1).
-func RunToStoreContext(ctx context.Context, m *mapmatch.Matcher, c *core.Compressor, sink Sink, raws []traj.Raw, opt Options) ([]Result, []int, error) {
-	if sink == nil {
-		return nil, nil, errors.New("pipeline: nil sink")
-	}
-	results, runErr := RunContext(ctx, m, c, raws, opt)
-	if results == nil {
-		return nil, nil, runErr
-	}
-	ids := make([]int, len(results))
-	for i := range results {
-		ids[i] = -1
-		if results[i].Err != nil {
-			continue
-		}
-		id, err := sink.Append(results[i].Compressed)
-		if err != nil {
-			// Keep the Result invariant: exactly one of Compressed and Err
-			// is non-nil. An unstored item is a failed item.
-			results[i].Err = err
-			results[i].Compressed = nil
-			continue
-		}
-		ids[i] = id
-	}
-	return results, ids, runErr
 }

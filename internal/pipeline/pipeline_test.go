@@ -537,47 +537,38 @@ func TestRunToShardedStoreSinkErrors(t *testing.T) {
 	}
 }
 
-// RunToStore appends successful items in submission order and maps failed
-// items to id -1.
+// RunToShardedStoreContext cancellation: every item comes back either
+// stored or failed with the cause and absent from the store, and nothing
+// hangs.
 func TestRunToStore(t *testing.T) {
 	m, comp, ds := fixture(t)
-	raws := append([]traj.Raw{}, ds.Raws[:10]...)
-	raws[6] = traj.Raw{} // injected failure
-	path := t.TempDir() + "/fleet.prss"
-	st, err := store.Create(path)
+	st, err := store.CreateSharded(t.TempDir()+"/fleet", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	results, ids, err := RunToStore(m, comp, st, raws, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	results, err := RunToShardedStoreContext(ctx, m, comp, st, ds.Raws, Options{Workers: 2}, 2)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunToShardedStoreContext = %v, want context.Canceled", err)
 	}
-	if len(results) != len(raws) || len(ids) != len(raws) {
-		t.Fatalf("got %d results, %d ids", len(results), len(ids))
+	if len(results) != len(ds.Raws) {
+		t.Fatalf("got %d results for %d inputs", len(results), len(ds.Raws))
 	}
-	wantID := 0
-	for i := range raws {
-		if i == 6 {
-			if ids[i] != -1 || results[i].Err == nil {
-				t.Fatalf("failed item mapped to id %d", ids[i])
-			}
-			continue
+	stored := 0
+	for i, res := range results {
+		_, getErr := st.Get(uint64(i))
+		switch {
+		case res.Err == nil && getErr == nil:
+			stored++
+		case res.Err != nil && errors.Is(getErr, store.ErrNotFound):
+		default:
+			t.Fatalf("item %d: Err=%v, store Get err=%v", i, res.Err, getErr)
 		}
-		if ids[i] != wantID {
-			t.Fatalf("item %d: id %d want %d", i, ids[i], wantID)
-		}
-		got, err := st.Get(ids[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Marshal(), results[i].Compressed.Marshal()) {
-			t.Fatalf("item %d: stored bytes differ", i)
-		}
-		wantID++
 	}
-	if st.Len() != wantID {
-		t.Fatalf("store has %d records want %d", st.Len(), wantID)
+	if st.Len() != stored {
+		t.Fatalf("store has %d records want %d", st.Len(), stored)
 	}
 }
 

@@ -16,9 +16,8 @@ import (
 //     trajectory (the FST decode the §5 queries walk) plus its temporal
 //     sequence — a cache hit answers any single-vehicle query with zero
 //     Huffman decoding;
-//   - memoized summaries: a BoundingSummary computed for a record the
-//     store holds without one (v2/legacy data), so the index never derives
-//     it twice.
+//   - memoized summaries: a BoundingSummary computed for a record stored
+//     without a summary, so the index never derives it twice.
 //
 // Every entry is pinned to the record revision it was derived from; a
 // lookup whose revision no longer matches is a miss and evicts the stale

@@ -42,15 +42,14 @@ func NewFleetIndex(eng *Engine, cts []*core.Compressed) (*FleetIndex, error) {
 	return newFleetIndex(eng, cts, ids)
 }
 
-// Scanner streams a compressed fleet keyed by record id; both store.Store
-// (ids are append indexes) and store.ShardedStore (ids are trajectory ids)
-// satisfy it.
+// Scanner streams a compressed fleet keyed by trajectory id;
+// store.ShardedStore satisfies it.
 type Scanner interface {
 	Scan(fn func(id uint64, ct *core.Compressed) error) error
 }
 
-// NewFleetIndexFromStore bulk-loads an index straight from a fleet store —
-// single-file or sharded — without the caller materializing a slice first.
+// NewFleetIndexFromStore bulk-loads an index straight from a fleet store
+// without the caller materializing a slice first.
 // Query results are positions in scan order; RecordID maps a position back
 // to the store id it came from.
 func NewFleetIndexFromStore(eng *Engine, src Scanner) (*FleetIndex, error) {

@@ -154,40 +154,6 @@ func TestFleetIndexFromShardedStore(t *testing.T) {
 			t.Fatalf("trial %d: store-index ids %v slice-index ids %v", trial, gotIDs, wantIDs)
 		}
 	}
-}
-
-// The same constructor reads a legacy v1 single-file store through the
-// shared Scanner interface.
-func TestFleetIndexFromLegacyStore(t *testing.T) {
-	f, fi := fleetFixture(t)
-	path := filepath.Join(t.TempDir(), "fleet.prss")
-	st, err := store.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for _, ct := range f.cts {
-		if _, err := st.Append(ct); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lfi, err := NewFleetIndexFromStore(f.eng, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := lfi.RangeQuery(0, 1e9, f.ds.Graph.MBR())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fi.RangeQuery(0, 1e9, f.ds.Graph.MBR())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// v1 ids are append indexes, so positions and ids coincide with the
-	// slice-built index.
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy store index %v slice index %v", got, want)
-	}
 	if _, err := NewFleetIndexFromStore(f.eng, nil); err == nil {
 		t.Error("nil store accepted")
 	}

@@ -161,8 +161,8 @@ func (ix *IncrementalFleetIndex) removeLocked(id uint64) {
 
 // RefreshFromStore rebuilds the index's entry set from the store's record
 // metadata: one ScanMeta pass, no payload reads for records that persist
-// summaries (v2-era records without one are summarized once through the
-// view and memoized). This is the catch-up path when the store changed
+// summaries (records stored without a summary are summarized once through
+// the view and memoized). This is the catch-up path when the store changed
 // behind the index's back — external appends, deletes, a Compact swap —
 // detected via the store generation, not a per-flush cost.
 func (ix *IncrementalFleetIndex) RefreshFromStore(src MetaScanner) error {

@@ -66,7 +66,7 @@ func (m *memSource) ScanMeta(fn func(id uint64, rev uint64, sum *core.BoundingSu
 }
 
 // stripped clones a compressed record without its summary, simulating
-// records read from a pre-summary (v2/legacy) store.
+// records stored without a summary.
 func stripped(ct *core.Compressed) *core.Compressed {
 	c := *ct
 	c.Summary = nil

@@ -9,13 +9,10 @@ import "fmt"
 // the source (ShardOf is a pure function of id and shard count) and keeps
 // its relative append order; payload bytes are copied verbatim.
 //
-// The destination is written in the current (v3) record format and each
-// survivor's persisted BoundingSummary rides along, so Compact doubles as
-// the upgrade path from a v2 store (records gain summary slots, which stay
-// empty until re-appended) and from a legacy v1 single-file source (which
-// compacts into a 1-shard store; v1 ids are append indexes and never
-// duplicate, so kept == record count). Deleted records and their tombstones
-// are dropped entirely. Compact returns how many records were kept and how
+// Each survivor's persisted BoundingSummary is copied as stored: a record
+// kept without a summary stays without one (Compact never decodes a
+// payload to synthesize one). Deleted records and their tombstones are
+// dropped entirely. Compact returns how many records were kept and how
 // many duplicates were dropped. The destination is fsynced before return.
 func Compact(srcDir, dstDir string) (kept, dropped int, err error) {
 	src, err := OpenSharded(srcDir)

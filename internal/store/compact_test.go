@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -119,43 +121,18 @@ func TestCompactNoDuplicatesIsIdentity(t *testing.T) {
 	}
 }
 
+// Compact reads only store directories: a v1 single-file source is refused
+// with ErrBadLayout before any destination is created.
 func TestCompactLegacySource(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "fleet.prss")
-	v1, err := Create(path)
-	if err != nil {
+	src := filepath.Join(dir, "fleet.prss")
+	if err := os.WriteFile(src, legacyImage(1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 7; i++ {
-		if _, err := v1.Append(sample(i)); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := Compact(src, filepath.Join(dir, "dst")); !errors.Is(err, ErrBadLayout) {
+		t.Fatalf("err = %v want ErrBadLayout", err)
 	}
-	if err := v1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	kept, dropped, err := Compact(path, filepath.Join(dir, "dst"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kept != 7 || dropped != 0 {
-		t.Fatalf("kept, dropped = %d, %d want 7, 0", kept, dropped)
-	}
-	dst, err := OpenSharded(filepath.Join(dir, "dst"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-	if dst.Legacy() {
-		t.Fatal("compacted store is still legacy/read-only")
-	}
-	for i := 0; i < 7; i++ {
-		ct, err := dst.Get(uint64(i))
-		if err != nil {
-			t.Fatalf("Get(%d): %v", i, err)
-		}
-		if ct.Spatial.Bits[0] != byte(i) {
-			t.Fatalf("record %d payload changed", i)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "dst")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("destination created for a refused source (%v)", err)
 	}
 }

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -115,42 +118,6 @@ func TestCrashFullImageLosesNothing(t *testing.T) {
 	}
 }
 
-// The same per-boundary guarantee for the legacy v1 single-file format,
-// which PR 1 only spot-checked with one garbage tail.
-func TestCrashTruncationEveryByteBoundaryV1(t *testing.T) {
-	const n = 3
-	path := filepath.Join(t.TempDir(), "fleet.prss")
-	st, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if _, err := st.Append(sample(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tailStart := st.offsets[n-1] - v1RecHdr
-	st.Close()
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := tailStart; cut < int64(len(img)); cut++ {
-		p := filepath.Join(t.TempDir(), "cut.prss")
-		if err := os.WriteFile(p, img[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		st, err := Open(p)
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		if st.Len() != n-1 {
-			t.Fatalf("cut %d: Len = %d want %d", cut, st.Len(), n-1)
-		}
-		st.Close()
-	}
-}
-
 // corruptShard applies fn to a pristine shard image and asserts OpenSharded
 // fails with the wanted typed error — an error, never a panic.
 func corruptShard(t *testing.T, name string, want error, fn func(img []byte) []byte) {
@@ -168,6 +135,10 @@ func corruptShard(t *testing.T, name string, want error, fn func(img []byte) []b
 
 func TestShardCorruptionTypedErrors(t *testing.T) {
 	// Bad magic in the segment header.
+	// A segment shorter than its 8-byte header.
+	corruptShard(t, "segment shorter than 8 bytes", io.ErrUnexpectedEOF, func(img []byte) []byte {
+		return img[:2]
+	})
 	corruptShard(t, "shard bad magic", ErrBadMagic, func(img []byte) []byte {
 		copy(img[:4], "NOPE")
 		return img
@@ -246,6 +217,15 @@ func TestManifestCorruptionTypedErrors(t *testing.T) {
 			t.Fatalf("err = %v want ErrBadVersion", err)
 		}
 	})
+	t.Run("format 2 manifest", func(t *testing.T) {
+		dir := build(t)
+		man, _ := os.ReadFile(manPath(dir))
+		binary.LittleEndian.PutUint32(man[8:12], 2)
+		os.WriteFile(manPath(dir), man, 0o644)
+		if _, err := OpenSharded(dir); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("err = %v want ErrBadVersion", err)
+		}
+	})
 	t.Run("truncated manifest", func(t *testing.T) {
 		dir := build(t)
 		man, _ := os.ReadFile(manPath(dir))
@@ -279,39 +259,120 @@ func TestManifestCorruptionTypedErrors(t *testing.T) {
 	})
 }
 
-// The v1 typed errors, now matchable with errors.Is.
-func TestV1CorruptionTypedErrors(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.prss")
-	os.WriteFile(bad, []byte("NOPE0000"), 0o644)
-	if _, err := Open(bad); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("bad magic: err = %v", err)
+// A torn append on one shard of a multi-shard store truncates only that
+// shard's tail; the other shards are untouched and appends resume.
+func TestCrashTailTruncated(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "fleet")
+	st, err := CreateSharded(dir, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	vfile := filepath.Join(dir, "v9.prss")
-	hdr := append([]byte("PRSS"), 9, 0, 0, 0)
-	os.WriteFile(vfile, hdr, 0o644)
-	if _, err := Open(vfile); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("bad version: err = %v", err)
+	for i := 0; i < 8; i++ {
+		if err := st.Append(uint64(i), sample(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Absurd length prefix: corruption, not silent truncation.
-	huge := filepath.Join(dir, "huge.prss")
-	img := append([]byte("PRSS"), 1, 0, 0, 0)
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(MaxRecordLen+1))
-	img = append(img, lenBuf[:]...)
-	img = append(img, make([]byte, 32)...)
-	os.WriteFile(huge, img, 0o644)
-	if _, err := Open(huge); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("huge length: err = %v", err)
+	sizes := []int64{st.shards[0].wpos, st.shards[1].wpos}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A header promising a 200-byte payload, followed by 3 bytes of it.
+	var torn [v3RecHdr + 3]byte
+	binary.LittleEndian.PutUint64(torn[:8], 99)
+	binary.LittleEndian.PutUint32(torn[12:16], 200)
+	f, err := os.OpenFile(filepath.Join(dir, shardName(1)), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn[:]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	st, err = OpenSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Len() != 8 {
+		t.Fatalf("Len after crash = %d want 8", st.Len())
+	}
+	for i, want := range sizes {
+		fi, err := os.Stat(filepath.Join(dir, shardName(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != want {
+			t.Fatalf("shard %d: %d bytes after recovery want %d", i, fi.Size(), want)
+		}
+	}
+	if err := st.Append(99, sample(99)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Get(99); err != nil {
+		t.Fatalf("append after recovery: %v", err)
 	}
 }
 
-// Corruption must surface as errors even through the degenerate legacy path
-// of OpenSharded.
+// legacyImage returns a segment file of a retired format version holding
+// sample(1): v1 records are uint32 length | payload, v2 records are
+// uint64 id | uint32 length | uint32 crc | payload.
+func legacyImage(version uint32) []byte {
+	payload := sample(1).Marshal()
+	img := binary.LittleEndian.AppendUint32([]byte("PRSS"), version)
+	if version == 2 {
+		img = binary.LittleEndian.AppendUint64(img, 1)
+	}
+	img = binary.LittleEndian.AppendUint32(img, uint32(len(payload)))
+	if version == 2 {
+		img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(payload))
+	}
+	return append(img, payload...)
+}
+
+// A v1 single-file store is not opened as a 1-shard store: the path is
+// refused as not a store directory, and its bytes stay untouched.
+func TestShardedLegacyDegenerateCase(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.prss")
+	img := legacyImage(1)
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSharded(path); !errors.Is(err, ErrBadLayout) {
+		t.Fatalf("err = %v want ErrBadLayout", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("refused file changed (%v)", err)
+	}
+}
+
+// A v1 segment inside a store directory is a typed error too.
+func TestV1CorruptionTypedErrors(t *testing.T) {
+	if _, err := OpenSharded(writeShardedDir(t, legacyImage(1))); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("v1 segment: err = %v want ErrBadVersion", err)
+	}
+}
+
+// A regular file at the store path is refused with ErrBadLayout ("not a
+// store directory"), not a raw ENOTDIR from reading MANIFEST under it.
 func TestOpenShardedLegacyCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.prss")
 	os.WriteFile(path, []byte("NOPE0000"), 0o644)
-	if _, err := OpenSharded(path); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("err = %v want ErrBadMagic", err)
+	if _, err := OpenSharded(path); !errors.Is(err, ErrBadLayout) {
+		t.Errorf("err = %v want ErrBadLayout", err)
+	}
+}
+
+// A segment written in the retired v2 format is refused with ErrBadVersion
+// and left byte-identical: opening never truncates what it cannot read.
+// (A manifest declaring format 2 is refused in
+// TestManifestCorruptionTypedErrors.)
+func TestV2FormatCompat(t *testing.T) {
+	img := legacyImage(2)
+	dir := writeShardedDir(t, img)
+	if _, err := OpenSharded(dir); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("err = %v want ErrBadVersion", err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, shardName(0))); err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("refused segment changed (%v)", err)
 	}
 }

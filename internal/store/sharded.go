@@ -1,38 +1,36 @@
-// ShardedStore is the fleet store: records are partitioned across N
-// segment files by trajectory id (stable hash), so N pipeline tails can
-// append concurrently instead of serializing on one writer. A small manifest
-// makes the layout self-describing and recovery a per-shard sequential scan.
+// Package store is the persistent fleet container for compressed
+// trajectories: LBS backends keep months of trajectories on disk, read any
+// one of them by id (Get), and stream all of them (Scan) without loading
+// the fleet into memory.
 //
-// On-disk layout of a sharded store directory:
+// Records are partitioned across N segment files by trajectory id (stable
+// hash), so N pipeline tails can append concurrently instead of serializing
+// on one writer. A small manifest makes the layout self-describing and
+// recovery a per-shard sequential scan.
 //
-//	MANIFEST        magic "PRSM" | uint32 manifest version | uint32 format
-//	                version | uint32 shard count (little endian)
-//	shard-0000.prss magic "PRSS" | uint32 version (2 or 3) | records...
+// On-disk layout of a store directory (little endian):
+//
+//	MANIFEST        magic "PRSM" | uint32 manifest version (1) |
+//	                uint32 format version (3) | uint32 shard count
+//	shard-0000.prss magic "PRSS" | uint32 format version (3) | records...
 //	shard-0001.prss ...
-//	record (v2):    uint64 id | uint32 length | uint32 crc32(payload) |
-//	                length bytes (core.Compressed.Marshal)
-//	record (v3):    uint64 id | uint32 flags | uint32 length | uint32 crc |
-//	                [48-byte BoundingSummary if flags&1] | length bytes;
-//	                the CRC covers summary + payload. flags&2 marks a
-//	                tombstone (Delete marker; length 0, no summary).
+//	record:         uint64 id | uint32 flags | uint32 length | uint32 crc |
+//	                [48-byte BoundingSummary if flags&1] | length bytes
+//	                (core.Compressed.Marshal); the CRC covers summary +
+//	                payload. flags&2 marks a tombstone (Delete marker;
+//	                length 0, no summary).
 //
-// v3 is the current format: CreateSharded writes it, and it persists each
-// record's compressed-domain BoundingSummary next to the payload so queries
-// can reject candidates without decompressing anything. v2 stores remain
-// fully readable AND appendable (their records simply carry no summaries
-// and cannot be deleted); store.Compact is the upgrade path — compacting a
-// v2 store writes a v3 destination.
+// Each record's compressed-domain BoundingSummary is persisted next to the
+// payload so queries can reject candidates without decompressing anything.
 //
 // Crash vs corruption is distinguished per record: a record that runs past
 // the end of its shard is a partial tail (crash during append) and is
-// silently truncated away by Open, exactly as the v1 format does; a record
-// that is fully present but fails its CRC, or whose length prefix is
-// implausible (> MaxRecordLen), is corruption and surfaces as a typed error
-// (ErrCorrupt) instead of a panic or silent data loss.
-//
-// A legacy v1 single-file store opens through OpenSharded as the read-only
-// 1-shard degenerate case (record ids are the append indexes); Migrate
-// rewrites it into the sharded layout so appends can resume.
+// silently truncated away by OpenSharded; a record that is fully present
+// but fails its CRC, or whose length prefix is implausible (> MaxRecordLen),
+// is corruption and surfaces as a typed error (ErrCorrupt) instead of a
+// panic or silent data loss. A path that is not a store directory, or a
+// store of another format version, is refused with a typed error
+// (ErrBadLayout, ErrBadMagic, ErrBadVersion).
 package store
 
 import (
@@ -49,8 +47,8 @@ import (
 	"press/internal/core"
 )
 
-// Typed failure modes. Open and OpenSharded wrap these with location detail;
-// match with errors.Is.
+// Typed failure modes. OpenSharded wraps these with location detail; match
+// with errors.Is.
 var (
 	// ErrBadMagic means a manifest or segment file does not start with the
 	// expected magic bytes (not a store file at all).
@@ -63,28 +61,24 @@ var (
 	// short at end-of-file is a crash tail, not corruption, and is
 	// recovered by truncation instead.)
 	ErrCorrupt = errors.New("store: corrupt record")
-	// ErrBadLayout means the manifest and the segment files on disk
-	// disagree (missing or extra shards).
+	// ErrBadLayout means the path is not a store directory, or the manifest
+	// and the segment files on disk disagree (missing or extra shards).
 	ErrBadLayout = errors.New("store: layout mismatch")
-	// ErrReadOnly is returned by Append on a legacy v1 store opened through
-	// OpenSharded; the v1 record format cannot carry trajectory ids. Use
-	// Migrate to convert it.
-	ErrReadOnly = errors.New("store: legacy store is read-only; use Migrate")
 	// ErrNotFound is returned by ShardedStore.Get for an unknown id.
 	ErrNotFound = errors.New("store: id not found")
-	// ErrNoDelete is returned by Delete on a store whose record format has
-	// no tombstones (v2 or a legacy v1 wrap). Compact into a fresh (v3)
-	// store to gain delete support.
-	ErrNoDelete = errors.New("store: record format does not support delete")
+	// ErrClosed is returned on use after Close.
+	ErrClosed = errors.New("store: closed")
 )
 
-var manifestMagic = [4]byte{'P', 'R', 'S', 'M'}
+var (
+	manifestMagic = [4]byte{'P', 'R', 'S', 'M'}
+	magic         = [4]byte{'P', 'R', 'S', 'S'}
+)
 
 const (
-	manifestVersion  = 1
-	shardedVersion   = 3 // current segment file format version (written by CreateSharded)
-	shardedVersionV2 = 2 // prior format: no flags, no summaries, no tombstones
-	manifestName     = "MANIFEST"
+	manifestVersion = 1
+	shardedVersion  = 3 // the segment file format version
+	manifestName    = "MANIFEST"
 	// MaxRecordLen bounds a single record payload (1 GiB). A length prefix
 	// beyond it is treated as corruption rather than a crash tail: no
 	// legitimate record is ever that large, and refusing to scan past a
@@ -95,8 +89,6 @@ const (
 )
 
 const (
-	v1RecHdr = 4  // uint32 length
-	v2RecHdr = 16 // uint64 id | uint32 length | uint32 crc
 	v3RecHdr = 20 // uint64 id | uint32 flags | uint32 length | uint32 crc
 
 	flagSummary   uint32 = 1 << 0 // a 48-byte BoundingSummary precedes the payload
@@ -159,8 +151,6 @@ func SyncInterval(n int) SyncPolicy {
 type shard struct {
 	mu       sync.RWMutex
 	f        *os.File
-	legacy   bool   // v1 record format: no ids, no CRC
-	version  uint32 // record format of this segment (2 or 3; 1 for a legacy wrap)
 	ids      []uint64
 	offsets  []int64 // payload offsets
 	sizes    []int
@@ -175,9 +165,8 @@ type shard struct {
 	unsynced int // appends since the last fsync (SyncInterval bookkeeping)
 }
 
-func newShardState(version uint32) *shard {
+func newShardState() *shard {
 	return &shard{
-		version:  version,
 		slots:    map[uint64]int{},
 		lastTomb: map[uint64]int{},
 		nrows:    map[uint64]int{},
@@ -186,7 +175,7 @@ func newShardState(version uint32) *shard {
 
 // visibleLocked reports row j's visibility; callers hold mu.
 func (sh *shard) visibleLocked(j int) bool {
-	if sh.tombs != nil && sh.tombs[j] {
+	if sh.tombs[j] {
 		return false
 	}
 	if t, ok := sh.lastTomb[sh.ids[j]]; ok && j < t {
@@ -234,12 +223,8 @@ func (s *ShardedStore) SyncPolicy() SyncPolicy {
 
 // CreateSharded makes a new empty sharded store directory with the given
 // shard count (minimum 1), truncating any shards left from a previous store
-// at the same path. The store is written in the current (v3) record format.
+// at the same path.
 func CreateSharded(dir string, shards int) (*ShardedStore, error) {
-	return createSharded(dir, shards, shardedVersion)
-}
-
-func createSharded(dir string, shards int, format uint32) (*ShardedStore, error) {
 	if shards < 1 {
 		shards = 1
 	}
@@ -264,7 +249,7 @@ func createSharded(dir string, shards int, format uint32) (*ShardedStore, error)
 	var man [16]byte
 	copy(man[:4], manifestMagic[:])
 	binary.LittleEndian.PutUint32(man[4:8], manifestVersion)
-	binary.LittleEndian.PutUint32(man[8:12], format)
+	binary.LittleEndian.PutUint32(man[8:12], shardedVersion)
 	binary.LittleEndian.PutUint32(man[12:16], uint32(shards))
 	if err := os.WriteFile(filepath.Join(dir, manifestName), man[:], 0o644); err != nil {
 		return nil, err
@@ -278,13 +263,13 @@ func createSharded(dir string, shards int, format uint32) (*ShardedStore, error)
 		}
 		var hdr [8]byte
 		copy(hdr[:4], magic[:])
-		binary.LittleEndian.PutUint32(hdr[4:], format)
+		binary.LittleEndian.PutUint32(hdr[4:], shardedVersion)
 		if _, err := f.Write(hdr[:]); err != nil {
 			f.Close()
 			st.Close()
 			return nil, err
 		}
-		sh := newShardState(format)
+		sh := newShardState()
 		sh.f = f
 		sh.wpos = 8
 		st.shards = append(st.shards, sh)
@@ -294,19 +279,16 @@ func createSharded(dir string, shards int, format uint32) (*ShardedStore, error)
 
 // OpenSharded opens an existing store and rebuilds every shard's record
 // index, one goroutine per shard. Crash tails are truncated away per shard;
-// corruption and layout mismatches surface as typed errors. Both the
-// current (v3) and the prior (v2) segment formats open read-write; a v2
-// store simply has no summaries and refuses Delete.
-//
-// As the degenerate case, path may name a legacy v1 single-file store: it
-// opens as one read-only shard whose record ids are the append indexes.
+// corruption and layout mismatches surface as typed errors. A missing path
+// returns an error wrapping os.ErrNotExist; a path that is not a directory
+// wraps ErrBadLayout, and a store of any other format version ErrBadVersion.
 func OpenSharded(path string) (*ShardedStore, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
 	if !fi.IsDir() {
-		return openLegacySharded(path)
+		return nil, fmt.Errorf("store: %s: %w: not a store directory", path, ErrBadLayout)
 	}
 	man, err := os.ReadFile(filepath.Join(path, manifestName))
 	if err != nil {
@@ -321,8 +303,7 @@ func OpenSharded(path string) (*ShardedStore, error) {
 	if v := binary.LittleEndian.Uint32(man[4:8]); v != manifestVersion {
 		return nil, fmt.Errorf("manifest: %w %d", ErrBadVersion, v)
 	}
-	format := binary.LittleEndian.Uint32(man[8:12])
-	if format != shardedVersion && format != shardedVersionV2 {
+	if format := binary.LittleEndian.Uint32(man[8:12]); format != shardedVersion {
 		return nil, fmt.Errorf("manifest: %w (format %d)", ErrBadVersion, format)
 	}
 	n := int(binary.LittleEndian.Uint32(man[12:16]))
@@ -341,7 +322,7 @@ func OpenSharded(path string) (*ShardedStore, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st.shards[i], errs[i] = openShard(filepath.Join(path, shardName(i)), i, format)
+			st.shards[i], errs[i] = openShard(filepath.Join(path, shardName(i)), i)
 		}(i)
 	}
 	wg.Wait()
@@ -381,13 +362,12 @@ func countShardFiles(dir string) (int, error) {
 
 // openShard opens one segment file and rebuilds its index: a sequential
 // scan that CRC-checks every complete record and truncates a partial tail.
-// The segment's header version must match the manifest's format.
-func openShard(path string, idx int, format uint32) (*shard, error) {
+func openShard(path string, idx int) (*shard, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, err
 	}
-	sh := newShardState(format)
+	sh := newShardState()
 	sh.f = f
 	if err := sh.scanRecords(idx); err != nil {
 		f.Close()
@@ -404,40 +384,28 @@ func (sh *shard) scanRecords(idx int) error {
 	if !hasMagic(hdr[:], magic) {
 		return fmt.Errorf("shard %d: %w", idx, ErrBadMagic)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != sh.version {
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != shardedVersion {
 		return fmt.Errorf("shard %d: %w %d", idx, ErrBadVersion, v)
 	}
 	end, err := sh.f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return err
 	}
-	hdrLen := int64(v2RecHdr)
-	if sh.version == shardedVersion {
-		hdrLen = v3RecHdr
-	}
 	pos := int64(8)
-	rec := make([]byte, hdrLen)
-	for pos+hdrLen <= end {
-		if _, err := sh.f.ReadAt(rec, pos); err != nil {
+	var rec [v3RecHdr]byte
+	for pos+v3RecHdr <= end {
+		if _, err := sh.f.ReadAt(rec[:], pos); err != nil {
 			return err
 		}
 		id := binary.LittleEndian.Uint64(rec[:8])
-		var flags uint32
-		var n int64
-		var crc uint32
-		if sh.version == shardedVersion {
-			flags = binary.LittleEndian.Uint32(rec[8:12])
-			n = int64(binary.LittleEndian.Uint32(rec[12:16]))
-			crc = binary.LittleEndian.Uint32(rec[16:20])
-			if flags&^knownFlags != 0 {
-				return fmt.Errorf("shard %d: %w: unknown record flags %#x at offset %d", idx, ErrCorrupt, flags, pos)
-			}
-			if flags&flagTombstone != 0 && (n != 0 || flags&flagSummary != 0) {
-				return fmt.Errorf("shard %d: %w: malformed tombstone at offset %d", idx, ErrCorrupt, pos)
-			}
-		} else {
-			n = int64(binary.LittleEndian.Uint32(rec[8:12]))
-			crc = binary.LittleEndian.Uint32(rec[12:16])
+		flags := binary.LittleEndian.Uint32(rec[8:12])
+		n := int64(binary.LittleEndian.Uint32(rec[12:16]))
+		crc := binary.LittleEndian.Uint32(rec[16:20])
+		if flags&^knownFlags != 0 {
+			return fmt.Errorf("shard %d: %w: unknown record flags %#x at offset %d", idx, ErrCorrupt, flags, pos)
+		}
+		if flags&flagTombstone != 0 && (n != 0 || flags&flagSummary != 0) {
+			return fmt.Errorf("shard %d: %w: malformed tombstone at offset %d", idx, ErrCorrupt, pos)
 		}
 		if n > MaxRecordLen {
 			return fmt.Errorf("shard %d: %w: length %d at offset %d", idx, ErrCorrupt, n, pos)
@@ -446,11 +414,11 @@ func (sh *shard) scanRecords(idx int) error {
 		if flags&flagSummary != 0 {
 			slen = core.BoundingSummaryLen
 		}
-		if pos+hdrLen+slen+n > end {
+		if pos+v3RecHdr+slen+n > end {
 			break // partial tail record (crash during append): drop it
 		}
 		body := make([]byte, slen+n)
-		if _, err := sh.f.ReadAt(body, pos+hdrLen); err != nil {
+		if _, err := sh.f.ReadAt(body, pos+v3RecHdr); err != nil {
 			return err
 		}
 		if crc32.ChecksumIEEE(body) != crc {
@@ -464,7 +432,7 @@ func (sh *shard) scanRecords(idx int) error {
 		}
 		row := len(sh.ids)
 		sh.ids = append(sh.ids, id)
-		sh.offsets = append(sh.offsets, pos+hdrLen+slen)
+		sh.offsets = append(sh.offsets, pos+v3RecHdr+slen)
 		sh.sizes = append(sh.sizes, int(n))
 		sh.sums = append(sh.sums, sum)
 		sh.tombs = append(sh.tombs, flags&flagTombstone != 0)
@@ -478,7 +446,7 @@ func (sh *shard) scanRecords(idx int) error {
 			sh.nrows[id]++
 			sh.liveRows++
 		}
-		pos += hdrLen + slen + n
+		pos += v3RecHdr + slen + n
 	}
 	if pos < end {
 		if err := sh.f.Truncate(pos); err != nil {
@@ -489,43 +457,10 @@ func (sh *shard) scanRecords(idx int) error {
 	return nil
 }
 
-// openLegacySharded wraps a v1 single-file store as one read-only shard:
-// record ids are the append indexes, appends return ErrReadOnly.
-func openLegacySharded(path string) (*ShardedStore, error) {
-	inner, err := Open(path)
-	if err != nil {
-		return nil, err
-	}
-	sh := newShardState(1)
-	sh.f = inner.f
-	sh.legacy = true
-	sh.offsets = inner.offsets
-	sh.sizes = inner.sizes
-	sh.wpos = inner.wpos
-	sh.sums = make([]*core.BoundingSummary, len(inner.offsets))
-	sh.tombs = make([]bool, len(inner.offsets))
-	sh.ids = make([]uint64, len(inner.offsets))
-	sh.liveRows = len(inner.offsets)
-	for i := range sh.ids {
-		sh.ids[i] = uint64(i)
-		sh.slots[uint64(i)] = i
-		sh.nrows[uint64(i)] = 1
-	}
-	st := &ShardedStore{dir: path, shards: []*shard{sh}}
-	st.assignRevs()
-	return st, nil
-}
-
-// Shards returns the shard count (1 for a legacy store).
+// Shards returns the shard count.
 func (s *ShardedStore) Shards() int { return len(s.shards) }
 
-// Legacy reports whether this store is a read-only v1 single-file wrap.
-func (s *ShardedStore) Legacy() bool {
-	return len(s.shards) == 1 && s.shards[0].legacy
-}
-
-// Dir returns the path the store was opened from (a directory, or the file
-// itself for a legacy store).
+// Dir returns the store directory.
 func (s *ShardedStore) Dir() string { return s.dir }
 
 // Len returns the total number of stored records across all shards:
@@ -570,8 +505,8 @@ func (s *ShardedStore) isClosed() bool {
 // Append stores one compressed trajectory under the given id. The shard is
 // chosen by ShardOf, so concurrent appenders with ids on different shards
 // never contend. Appending the same id again stores a new record; Get
-// returns the latest one. On a v3 store the record's BoundingSummary (if
-// present) is persisted next to the payload; a v2 store silently drops it.
+// returns the latest one. The record's BoundingSummary (if present) is
+// persisted next to the payload.
 func (s *ShardedStore) Append(id uint64, ct *core.Compressed) error {
 	return s.appendRaw(id, ct.Marshal(), ct.Summary)
 }
@@ -581,35 +516,21 @@ func (s *ShardedStore) appendRaw(id uint64, payload []byte, sum *core.BoundingSu
 		return ErrClosed
 	}
 	sh := s.shards[ShardOf(id, len(s.shards))]
-	if sh.legacy {
-		return ErrReadOnly
+	var flags uint32
+	slen := 0
+	var sbytes [core.BoundingSummaryLen]byte
+	if sum != nil {
+		flags |= flagSummary
+		slen = core.BoundingSummaryLen
+		sbytes = sum.Marshal()
 	}
-	var buf []byte
-	if sh.version == shardedVersion {
-		var flags uint32
-		slen := 0
-		var sbytes [core.BoundingSummaryLen]byte
-		if sum != nil {
-			flags |= flagSummary
-			slen = core.BoundingSummaryLen
-			sbytes = sum.Marshal()
-		}
-		buf = make([]byte, v3RecHdr+slen+len(payload))
-		binary.LittleEndian.PutUint64(buf[:8], id)
-		binary.LittleEndian.PutUint32(buf[8:12], flags)
-		binary.LittleEndian.PutUint32(buf[12:16], uint32(len(payload)))
-		copy(buf[v3RecHdr:], sbytes[:slen])
-		copy(buf[v3RecHdr+slen:], payload)
-		binary.LittleEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(buf[v3RecHdr:]))
-	} else {
-		sum = nil // v2 records cannot carry a summary
-		buf = make([]byte, v2RecHdr+len(payload))
-		binary.LittleEndian.PutUint64(buf[:8], id)
-		binary.LittleEndian.PutUint32(buf[8:12], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[12:16], crc32.ChecksumIEEE(payload))
-		copy(buf[v2RecHdr:], payload)
-	}
-	hdrLen := int64(len(buf) - len(payload))
+	buf := make([]byte, v3RecHdr+slen+len(payload))
+	binary.LittleEndian.PutUint64(buf[:8], id)
+	binary.LittleEndian.PutUint32(buf[8:12], flags)
+	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(payload)))
+	copy(buf[v3RecHdr:], sbytes[:slen])
+	copy(buf[v3RecHdr+slen:], payload)
+	binary.LittleEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(buf[v3RecHdr:]))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, err := sh.f.WriteAt(buf, sh.wpos); err != nil {
@@ -619,7 +540,7 @@ func (s *ShardedStore) appendRaw(id uint64, payload []byte, sum *core.BoundingSu
 	prevSlot, hadSlot := sh.slots[id]
 	row := len(sh.ids)
 	sh.ids = append(sh.ids, id)
-	sh.offsets = append(sh.offsets, sh.wpos+hdrLen)
+	sh.offsets = append(sh.offsets, sh.wpos+int64(v3RecHdr+slen))
 	sh.sizes = append(sh.sizes, len(payload))
 	sh.sums = append(sh.sums, sum)
 	sh.tombs = append(sh.tombs, false)
@@ -659,20 +580,13 @@ func (s *ShardedStore) appendRaw(id uint64, payload []byte, sum *core.BoundingSu
 
 // Delete removes id from the store by appending a tombstone record: Get
 // stops serving it, Scan/IDs/Len stop seeing any of its rows, and the
-// store generation advances. Only the current (v3) record format has
-// tombstones; a v2 store returns ErrNoDelete and a legacy wrap ErrReadOnly.
-// A later Append under the same id is a fresh insert.
+// store generation advances. A later Append under the same id is a fresh
+// insert.
 func (s *ShardedStore) Delete(id uint64) error {
 	if s.isClosed() {
 		return ErrClosed
 	}
 	sh := s.shards[ShardOf(id, len(s.shards))]
-	if sh.legacy {
-		return ErrReadOnly
-	}
-	if sh.version != shardedVersion {
-		return ErrNoDelete
-	}
 	var buf [v3RecHdr]byte
 	binary.LittleEndian.PutUint64(buf[:8], id)
 	binary.LittleEndian.PutUint32(buf[8:12], flagTombstone)
@@ -729,8 +643,8 @@ func (s *ShardedStore) Delete(id uint64) error {
 	return nil
 }
 
-// Get reads the latest record stored under id. On a v3 store the returned
-// record carries its persisted BoundingSummary.
+// Get reads the latest record stored under id, carrying its persisted
+// BoundingSummary (nil for a record stored without one).
 func (s *ShardedStore) Get(id uint64) (*core.Compressed, error) {
 	ct, _, err := s.GetRecord(id)
 	return ct, err
@@ -764,8 +678,7 @@ func (s *ShardedStore) GetRecord(id uint64) (*core.Compressed, uint64, error) {
 // StatRecord returns the revision and persisted BoundingSummary of the
 // latest record under id without reading the payload — the cheap existence
 // + staleness + filter probe the query layer uses before deciding to fetch
-// anything. The summary is nil for records stored without one (v2 or
-// legacy stores).
+// anything. The summary is nil for records stored without one.
 func (s *ShardedStore) StatRecord(id uint64) (rev uint64, sum *core.BoundingSummary, err error) {
 	if s.isClosed() {
 		return 0, nil, ErrClosed
@@ -936,36 +849,4 @@ func (s *ShardedStore) Close() error {
 		}
 	}
 	return first
-}
-
-// Migrate rewrites a legacy v1 single-file store at src into a sharded
-// store directory at dstDir with the given shard count. Record ids are the
-// v1 append indexes (matching what OpenSharded(src) reports), payload bytes
-// are copied verbatim, and the record count is returned. The destination is
-// written in the current (v3) format; v1 records carry no summaries, so the
-// migrated records have none either.
-func Migrate(src, dstDir string, shards int) (int, error) {
-	old, err := Open(src)
-	if err != nil {
-		return 0, err
-	}
-	defer old.Close()
-	dst, err := CreateSharded(dstDir, shards)
-	if err != nil {
-		return 0, err
-	}
-	defer dst.Close()
-	for i := range old.offsets {
-		blob := make([]byte, old.sizes[i])
-		if _, err := old.f.ReadAt(blob, old.offsets[i]); err != nil {
-			return i, err
-		}
-		if err := dst.appendRaw(uint64(i), blob, nil); err != nil {
-			return i, err
-		}
-	}
-	if err := dst.Sync(); err != nil {
-		return len(old.offsets), err
-	}
-	return len(old.offsets), nil
 }

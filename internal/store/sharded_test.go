@@ -5,10 +5,22 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"press/internal/core"
+	"press/internal/traj"
 )
+
+func sample(i int) *core.Compressed {
+	return &core.Compressed{
+		Spatial: &core.SpatialCode{Bits: []byte{byte(i), byte(i + 1)}, NBits: 13},
+		Temporal: traj.Temporal{
+			{D: 0, T: float64(i)},
+			{D: float64(100 * i), T: float64(i + 60)},
+		},
+	}
+}
 
 func TestShardedCreateAppendGet(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "fleet")
@@ -155,88 +167,6 @@ func TestShardedDuplicateIDLastWins(t *testing.T) {
 	}
 }
 
-func TestShardedLegacyDegenerateCase(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.prss")
-	v1, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if _, err := v1.Append(sample(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v1.Close()
-
-	st, err := OpenSharded(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if !st.Legacy() || st.Shards() != 1 || st.Len() != 6 {
-		t.Fatalf("legacy wrap: Legacy=%v Shards=%d Len=%d", st.Legacy(), st.Shards(), st.Len())
-	}
-	// Ids are the v1 append indexes.
-	for i := 0; i < 6; i++ {
-		ct, err := st.Get(uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ct.Marshal(), sample(i).Marshal()) {
-			t.Fatalf("legacy record %d corrupted", i)
-		}
-	}
-	// The v1 format cannot carry trajectory ids: appends are refused.
-	if err := st.Append(100, sample(0)); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("legacy append err = %v want ErrReadOnly", err)
-	}
-}
-
-func TestMigrate(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "legacy.prss")
-	v1, err := Create(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 11; i++ {
-		if _, err := v1.Append(sample(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v1.Close()
-
-	dst := filepath.Join(dir, "sharded")
-	n, err := Migrate(src, dst, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 11 {
-		t.Fatalf("migrated %d records", n)
-	}
-	st, err := OpenSharded(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if st.Len() != 11 || st.Shards() != 4 || st.Legacy() {
-		t.Fatalf("migrated store: Len=%d Shards=%d Legacy=%v", st.Len(), st.Shards(), st.Legacy())
-	}
-	// Byte-identical payloads under the v1 append indexes, and writable.
-	for i := 0; i < 11; i++ {
-		ct, err := st.Get(uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ct.Marshal(), sample(i).Marshal()) {
-			t.Fatalf("migrated record %d differs", i)
-		}
-	}
-	if err := st.Append(11, sample(11)); err != nil {
-		t.Fatalf("migrated store should accept appends: %v", err)
-	}
-}
-
 func TestShardedClosedOps(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "fleet")
 	st, err := CreateSharded(dir, 2)
@@ -355,5 +285,209 @@ func TestOpenShardedMissing(t *testing.T) {
 	os.MkdirAll(dir, 0o755)
 	if _, err := OpenSharded(dir); err == nil {
 		t.Error("directory without manifest accepted")
+	}
+}
+
+// Records with and without a summary interleave on one shard, and a replace
+// may add or drop the summary: Get and StatRecord follow the latest record.
+func TestCreateAppendGet(t *testing.T) {
+	st, err := CreateSharded(filepath.Join(t.TempDir(), "fleet"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, step := range []struct {
+		id uint64
+		ct *core.Compressed
+	}{{1, summarized(1)}, {2, sample(2)}, {1, sample(10)}, {2, summarized(20)}} {
+		if err := st.Append(step.id, step.ct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id, want := range map[uint64]*core.Compressed{1: sample(10), 2: summarized(20)} {
+		ct, err := st.Get(id)
+		if err != nil || !bytes.Equal(ct.Marshal(), want.Marshal()) || !reflect.DeepEqual(ct.Summary, want.Summary) {
+			t.Fatalf("Get(%d) = %+v, %v; want the latest record", id, ct, err)
+		}
+		if _, sum, err := st.StatRecord(id); err != nil || !reflect.DeepEqual(sum, want.Summary) {
+			t.Fatalf("StatRecord(%d) summary = %+v, %v want %+v", id, sum, err, want.Summary)
+		}
+	}
+}
+
+// Reopening stamps every live record with a distinct nonzero revision no
+// greater than the store generation, and the next append advances past it.
+func TestReopen(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "fleet")
+	st, err := CreateSharded(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		if err := st.Append(uint64(i%6), sample(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Delete(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = OpenSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	g := st.Generation()
+	revs := map[uint64]bool{}
+	err = st.ScanMeta(func(id, rev uint64, _ *core.BoundingSummary) error {
+		if rev == 0 || rev > g || revs[rev] {
+			t.Fatalf("id %d: revision %d (generation %d, seen %v)", id, rev, g, revs[rev])
+		}
+		revs[rev] = true
+		return nil
+	})
+	if err != nil || len(revs) != 5 {
+		t.Fatalf("ScanMeta visited %d live ids want 5 (%v)", len(revs), err)
+	}
+	if err := st.Append(7, sample(7)); err != nil {
+		t.Fatal(err)
+	}
+	if rev, _, err := st.StatRecord(7); err != nil || rev <= g || st.Generation() <= g {
+		t.Fatalf("post-reopen append: rev %d generation %d, before %d (%v)", rev, st.Generation(), g, err)
+	}
+}
+
+// ScanMeta visits each live id exactly once with its latest record, while
+// IDs and Scan list every visible row in the same order: duplicates
+// included, deleted ids absent.
+func TestEach(t *testing.T) {
+	st, err := CreateSharded(filepath.Join(t.TempDir(), "fleet"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 8; i++ {
+		if err := st.Append(uint64(i%4), summarized(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Delete(2); err != nil {
+		t.Fatal(err)
+	}
+	var scanned []uint64
+	if err := st.Scan(func(id uint64, _ *core.Compressed) error {
+		scanned = append(scanned, id)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(scanned) != 6 || !reflect.DeepEqual(scanned, st.IDs()) {
+		t.Fatalf("Scan ids %v, IDs %v; want the same 6 rows", scanned, st.IDs())
+	}
+	meta := map[uint64]core.BoundingSummary{}
+	if err := st.ScanMeta(func(id, _ uint64, sum *core.BoundingSummary) error {
+		if _, dup := meta[id]; dup {
+			t.Fatalf("ScanMeta visited id %d twice", id)
+		}
+		meta[id] = *sum
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(meta) != 3 {
+		t.Fatalf("ScanMeta visited %d ids want 3", len(meta))
+	}
+	for id, sum := range meta {
+		if sum != *summarized(int(id) + 4).Summary {
+			t.Fatalf("ScanMeta(%d) = %+v, not the latest record's summary", id, sum)
+		}
+	}
+}
+
+// A callback error stops a scan after that one record, and ScanShard
+// rejects a shard index outside the store.
+func TestScan(t *testing.T) {
+	st, err := CreateSharded(filepath.Join(t.TempDir(), "fleet"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 10; i++ {
+		if err := st.Append(uint64(i), sample(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boom := errors.New("boom")
+	calls := 0
+	err = st.Scan(func(uint64, *core.Compressed) error {
+		calls++
+		return boom
+	})
+	if !errors.Is(err, boom) || calls != 1 {
+		t.Fatalf("error exit: err=%v calls=%d", err, calls)
+	}
+	for _, i := range []int{-1, 2} {
+		if err := st.ScanShard(i, func(uint64, *core.Compressed) error { return nil }); err == nil {
+			t.Errorf("ScanShard(%d) accepted", i)
+		}
+	}
+}
+
+// A missing path and a directory without a MANIFEST both report
+// os.ErrNotExist: the signal a caller uses to create a fresh store there.
+func TestOpenErrors(t *testing.T) {
+	empty := t.TempDir()
+	for _, path := range []string{filepath.Join(empty, "nope"), empty} {
+		if _, err := OpenSharded(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("OpenSharded(%s) = %v want os.ErrNotExist", path, err)
+		}
+	}
+}
+
+// Every path not covered by TestShardedClosedOps also reports ErrClosed.
+func TestClosedOps(t *testing.T) {
+	st, err := CreateSharded(filepath.Join(t.TempDir(), "fleet"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(1, sample(1)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	_, _, getErr := st.GetRecord(1)
+	_, _, statErr := st.StatRecord(1)
+	for name, err := range map[string]error{
+		"Delete":     st.Delete(1),
+		"GetRecord":  getErr,
+		"StatRecord": statErr,
+		"ScanShard":  st.ScanShard(0, func(uint64, *core.Compressed) error { return nil }),
+		"ScanMeta":   st.ScanMeta(func(uint64, uint64, *core.BoundingSummary) error { return nil }),
+	} {
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after close: err = %v want ErrClosed", name, err)
+		}
+	}
+}
+
+// SizeBytes counts a summarized record's 48-byte summary slot and a
+// tombstone's bare header.
+func TestSizeBytes(t *testing.T) {
+	st, err := CreateSharded(filepath.Join(t.TempDir(), "fleet"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ct := summarized(1)
+	if err := st.Append(1, ct); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(8 + v3RecHdr + core.BoundingSummaryLen + ct.SizeBytes() + v3RecHdr)
+	if st.SizeBytes() != want {
+		t.Fatalf("size = %d want %d", st.SizeBytes(), want)
 	}
 }

@@ -92,8 +92,8 @@ func TestSummaryPersistRoundTrip(t *testing.T) {
 	check(st, "reopened")
 }
 
-// A record appended without a summary (e.g. migrated data) reads back with
-// a nil summary, interleaved freely with summarized neighbors.
+// A record appended without a summary reads back with a nil summary,
+// interleaved freely with summarized neighbors.
 func TestSummaryAbsentIsNil(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "fleet")
 	st, err := CreateSharded(dir, 2)
@@ -182,22 +182,6 @@ func TestDeleteTombstone(t *testing.T) {
 	}
 }
 
-func TestDeleteUnsupportedFormats(t *testing.T) {
-	// v2-format store: readable, appendable, but no tombstones.
-	dir := filepath.Join(t.TempDir(), "v2")
-	st, err := createSharded(dir, 2, shardedVersionV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.Append(1, summarized(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Delete(1); !errors.Is(err, ErrNoDelete) {
-		t.Fatalf("v2 delete: %v want ErrNoDelete", err)
-	}
-}
-
 // The generation counter must advance on every mutation — in particular
 // across a count-preserving delete+insert, which is exactly the scenario
 // the old Len-based index invalidation missed.
@@ -260,48 +244,6 @@ func TestRevisionChangesOnReplace(t *testing.T) {
 	}
 	if rev, _, err := st.StatRecord(5); err != nil || rev != rev2 {
 		t.Fatalf("StatRecord rev = %d, %v; want %d", rev, err, rev2)
-	}
-}
-
-// A v2-format store keeps full read/write compatibility: open, append,
-// get, scan — just no summaries.
-func TestV2FormatCompat(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "v2")
-	st, err := createSharded(dir, 3, shardedVersionV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if err := st.Append(uint64(i), summarized(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = OpenSharded(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if st.Len() != 6 {
-		t.Fatalf("Len = %d", st.Len())
-	}
-	// Appends still work after reopen on the old format.
-	if err := st.Append(6, summarized(6)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 7; i++ {
-		ct, err := st.Get(uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ct.Summary != nil {
-			t.Fatalf("v2 record %d grew a summary", i)
-		}
-	}
-	if rev, sum, err := st.StatRecord(0); err != nil || sum != nil || rev == 0 {
-		t.Fatalf("StatRecord on v2 = %d, %+v, %v", rev, sum, err)
 	}
 }
 

@@ -456,24 +456,6 @@ func (s *System) IngestGPSContext(ctx context.Context, raws []RawTrajectory, wor
 	return pipeline.RunContext(ctx, s.matcher, s.compressor, raws, s.pipelineOptions(workers))
 }
 
-// IngestGPSToStore is IngestGPS with a storage tail: successfully compressed
-// trajectories are appended to the fleet store in submission order. ids[i]
-// is raws[i]'s record id in the store, or -1 if the item failed.
-//
-// The tail is a single writer (the v1 store serializes appends); for a
-// storage stage that keeps up with the parallel pipeline, use a sharded
-// store and IngestGPSToShardedStore.
-func (s *System) IngestGPSToStore(st *FleetStore, raws []RawTrajectory, workers int) (results []PipelineResult, ids []int, err error) {
-	return s.IngestGPSToStoreContext(context.Background(), st, raws, workers)
-}
-
-// IngestGPSToStoreContext is IngestGPSToStore bound to a context;
-// cancellation semantics match IngestGPSContext, with unprocessed items
-// mapped to id -1.
-func (s *System) IngestGPSToStoreContext(ctx context.Context, st *FleetStore, raws []RawTrajectory, workers int) (results []PipelineResult, ids []int, err error) {
-	return pipeline.RunToStoreContext(ctx, s.matcher, s.compressor, st, raws, s.pipelineOptions(workers))
-}
-
 // IngestGPSToShardedStore is IngestGPS with a concurrent storage tail: one
 // append goroutine per store shard (capped by the worker count) drains the
 // pipeline and appends each compressed trajectory under its submission
@@ -716,20 +698,9 @@ func GenerateDataset(opt DatasetOptions) (*Dataset, error) { return gen.Generate
 // DefaultDatasetOptions returns the standard workload with n trips.
 func DefaultDatasetOptions(n int) DatasetOptions { return gen.Default(n) }
 
-// FleetStore is a persistent append-only container of compressed
-// trajectories (see internal/store for the on-disk format).
-type FleetStore = store.Store
-
-// CreateFleetStore makes a new empty fleet container file.
-func CreateFleetStore(path string) (*FleetStore, error) { return store.Create(path) }
-
-// OpenFleetStore opens an existing fleet container, recovering from a
-// truncated tail record if the last append crashed.
-func OpenFleetStore(path string) (*FleetStore, error) { return store.Open(path) }
-
-// ShardedFleetStore is the fleet store v2: records partitioned across N
-// segment files by trajectory id, safe for concurrent appends and reads
-// (see internal/store for the on-disk layout and recovery semantics).
+// ShardedFleetStore is the persistent fleet store: records partitioned
+// across N segment files by trajectory id, safe for concurrent appends and
+// reads (see internal/store for the on-disk layout and recovery semantics).
 type ShardedFleetStore = store.ShardedStore
 
 // SyncPolicy controls when sharded-store appends reach stable storage;
@@ -754,17 +725,9 @@ func CreateShardedFleetStore(dir string, shards int) (*ShardedFleetStore, error)
 
 // OpenShardedFleetStore opens an existing sharded fleet container,
 // rebuilding the per-shard indexes in parallel and recovering each shard
-// from a truncated tail record. A legacy single-file store opens as the
-// read-only 1-shard degenerate case; use MigrateFleetStore to convert it.
+// from a truncated tail record.
 func OpenShardedFleetStore(path string) (*ShardedFleetStore, error) {
 	return store.OpenSharded(path)
-}
-
-// MigrateFleetStore rewrites a legacy single-file fleet store into the
-// sharded layout (record ids become the v1 append indexes) and returns the
-// number of records migrated.
-func MigrateFleetStore(src, dstDir string, shards int) (int, error) {
-	return store.Migrate(src, dstDir, shards)
 }
 
 // CompactFleetStore rewrites the sharded store at src into dst, keeping
@@ -795,9 +758,8 @@ func (s *System) NewFleetIndex(cts []*Compressed) (*FleetIndex, error) {
 }
 
 // NewFleetIndexFromStore bulk-loads a fleet index straight from a fleet
-// store — single-file or sharded — without materializing the fleet as a
-// slice first. Use FleetIndex.RecordID to map query results back to store
-// record ids.
+// store without materializing the fleet as a slice first. Use
+// FleetIndex.RecordID to map query results back to store record ids.
 func (s *System) NewFleetIndexFromStore(st query.Scanner) (*FleetIndex, error) {
 	return query.NewFleetIndexFromStore(s.engine, st)
 }

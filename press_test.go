@@ -234,27 +234,36 @@ func TestIngestGPSFacade(t *testing.T) {
 	}
 }
 
-// End-to-end streaming into a fleet store through the facade.
+// End-to-end streaming into a fleet store through the facade: a poison
+// item fails alone and is not stored; every other item is stored under its
+// submission index.
 func TestIngestGPSToStoreFacade(t *testing.T) {
 	sys, ds := buildSystem(t, DefaultConfig())
-	st, err := CreateFleetStore(t.TempDir() + "/fleet.prss")
+	st, err := sys.NewFleetStore(t.TempDir() + "/fleet")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	results, ids, err := sys.IngestGPSToStore(st, ds.Raws[:8], 4)
+	feed := append([]RawTrajectory{}, ds.Raws[:8]...)
+	feed[3] = RawTrajectory{}
+	results, err := sys.IngestGPSToShardedStore(st, feed, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stored := 0
-	for i := range results {
-		if results[i].Err == nil {
-			if ids[i] != stored {
-				t.Fatalf("item %d: id %d want %d", i, ids[i], stored)
+	for i, res := range results {
+		_, getErr := st.Get(uint64(i))
+		if i == 3 {
+			if res.Err == nil || getErr == nil {
+				t.Fatalf("poison item: Err=%v, stored=%v", res.Err, getErr == nil)
+			}
+			continue
+		}
+		if res.Err == nil {
+			if getErr != nil {
+				t.Fatalf("item %d not stored: %v", i, getErr)
 			}
 			stored++
-		} else if ids[i] != -1 {
-			t.Fatalf("failed item %d has id %d", i, ids[i])
 		}
 	}
 	if st.Len() != stored {
@@ -263,8 +272,7 @@ func TestIngestGPSToStoreFacade(t *testing.T) {
 }
 
 // End-to-end sharded persistence through the facade: ingest with concurrent
-// tails, reopen with parallel index rebuild, query off disk, and migrate a
-// legacy store.
+// tails, reopen with parallel index rebuild, and query off disk.
 func TestShardedFleetStoreFacade(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StoreShards = 4
@@ -322,39 +330,6 @@ func TestShardedFleetStoreFacade(t *testing.T) {
 	if len(hits) != stored {
 		t.Fatalf("whole-network query found %d of %d", len(hits), stored)
 	}
-
-	// Legacy migration: a v1 store's records come back under their old
-	// indexes, now appendable across shards.
-	legacy := dir + "/legacy.prss"
-	v1, err := CreateFleetStore(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first *Compressed
-	st2.Scan(func(id uint64, ct *Compressed) error {
-		if first == nil {
-			first = ct
-		}
-		return nil
-	})
-	for i := 0; i < 3; i++ {
-		if _, err := v1.Append(first); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v1.Close()
-	n, err := MigrateFleetStore(legacy, dir+"/migrated", 2)
-	if err != nil || n != 3 {
-		t.Fatalf("Migrate = %d, %v", n, err)
-	}
-	mig, err := OpenShardedFleetStore(dir + "/migrated")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mig.Close()
-	if mig.Len() != 3 || mig.Shards() != 2 {
-		t.Fatalf("migrated: Len=%d Shards=%d", mig.Len(), mig.Shards())
-	}
 }
 
 func TestReformatFacade(t *testing.T) {
@@ -368,26 +343,28 @@ func TestReformatFacade(t *testing.T) {
 	}
 }
 
+// A stored record decompresses back to the exact original path after a
+// close and reopen.
 func TestFleetStoreThroughFacade(t *testing.T) {
 	sys, ds := buildSystem(t, DefaultConfig())
-	path := t.TempDir() + "/fleet.prss"
-	st, err := CreateFleetStore(path)
+	dir := t.TempDir() + "/fleet"
+	st, err := sys.NewFleetStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range ds.Truth[:6] {
+	for i, tr := range ds.Truth[:6] {
 		ct, err := sys.Compress(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.Append(ct); err != nil {
+		if err := st.Append(uint64(i), ct); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenFleetStore(path)
+	st2, err := OpenShardedFleetStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
