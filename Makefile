@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchsmoke benchtest streambench spbench spbenchsmoke spbuild spbuildsmoke serverbench querybench clusterbench serve smoke clustersmoke fuzz allocgate fmtcheck ci
+.PHONY: all build vet test race bench benchsmoke benchtest serve smoke clustersmoke fuzz allocgate fmtcheck ci
 
 all: ci
 
@@ -35,50 +35,6 @@ benchsmoke:
 # never compiles it, yet it links against spindex, server, core and query.
 benchtest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-# The live session-ingest scenario (per-point push latency, sessions/s at
-# 1/2/4/8 feeders).
-streambench:
-	$(GO) run ./cmd/pressbench -fig streambench
-
-# The SP scenario: the all-pairs table vs the contraction hierarchy as the
-# network grows (1x/4x/16x), with hard assertions (bit-identical answers
-# everywhere; >= 5x faster precompute and <= 10% of the table's memory at
-# 16x).
-spbench:
-	$(GO) run ./cmd/pressbench -fig spbench
-
-# The same scenario capped at the 1x network: fast enough for every CI run,
-# still asserting answer equality and hier-builds-faster-than-table.
-spbenchsmoke:
-	$(GO) run ./cmd/pressbench -fig spbench -trips 40 -spscale 1
-
-# Parallel contraction build + warmed query path: per-worker build times with
-# byte-identity asserted against the sequential build at every scale, then
-# the hot (unpack cache + pooled context) vs cold query throughput gate.
-spbuild:
-	$(GO) run ./cmd/pressbench -fig spbuild
-
-# The same scenario capped at the 1x network: cheap enough for every CI run,
-# still asserting snapshot byte-identity across 1/2/4/8 build workers.
-spbuildsmoke:
-	$(GO) run ./cmd/pressbench -fig spbuild -trips 40 -spscale 1
-
-# The pressd HTTP serving scenario: JSON vs binary-wire ingest points/s,
-# then whereat requests/s at 1/2/4/8 concurrent clients over loopback.
-serverbench:
-	$(GO) run ./cmd/pressbench -fig serverbench
-
-# Compressed-domain query scaling: fleet-range p50 at 1x/10x/100x stored
-# history over the incremental index, asserting no STR rebuilds and
-# summary-based pruning via /v1/stats counters.
-querybench:
-	$(GO) run ./cmd/pressbench -fig querybench
-
-# The partitioned fleet tier: bulk ingest and whereat throughput through
-# the scatter-gather router at 1/2/4 nodes over one shared SP snapshot.
-clusterbench:
-	$(GO) run ./cmd/pressbench -fig clusterbench
 
 # Boot the serving daemon on a freshly generated demo workload (ctrl-C or
 # SIGTERM drains and exits cleanly).
@@ -114,4 +70,4 @@ fuzz:
 allocgate:
 	./scripts/allocgate.sh
 
-ci: fmtcheck build vet race benchsmoke benchtest fuzz allocgate spbenchsmoke spbuildsmoke smoke clustersmoke
+ci: fmtcheck build vet race benchsmoke benchtest fuzz allocgate smoke clustersmoke

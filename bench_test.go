@@ -1,15 +1,13 @@
-// Benchmarks: one testing.B benchmark per table/figure of PRESS §6,
-// exercising the same code paths as the cmd/pressbench harness (which
-// prints the actual series). Run with:
+// Benchmarks: testing.B timings of the code paths behind the tables and
+// figures of PRESS §6. cmd/pressbench prints the figures' series; these
+// time the same operations. Run with:
 //
 //	go test -bench=. -benchmem
 package press
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"press/internal/baseline"
@@ -17,13 +15,9 @@ import (
 	"press/internal/experiments"
 	"press/internal/gen"
 	"press/internal/geo"
-	"press/internal/mapmatch"
-	"press/internal/pipeline"
 	"press/internal/query"
 	"press/internal/roadnet"
 	"press/internal/spindex"
-	"press/internal/store"
-	"press/internal/stream"
 	"press/internal/traj"
 )
 
@@ -368,42 +362,6 @@ func BenchmarkPrecomputeAllParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineIngest measures the full streaming pipeline (match ->
-// reformat -> compress with bounded buffers) over the raw GPS fleet.
-func BenchmarkPipelineIngest(b *testing.B) {
-	env, _ := benchSetup(b)
-	comp, err := env.Compressor(100, 60)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := mapmatch.New(env.DS.Graph, env.Tab, mapmatch.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the lazily-materialized shortest-path rows so the first variant
-	// does not absorb the one-off Dijkstra cost for all the others.
-	if _, err := pipeline.Run(m, comp, env.DS.Raws, pipeline.Options{}); err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				results, err := pipeline.Run(m, comp, env.DS.Raws, pipeline.Options{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, res := range results {
-					if res.Err != nil {
-						b.Fatal(res.Err)
-					}
-				}
-			}
-			b.ReportMetric(
-				float64(b.N)*float64(len(env.DS.Raws))/b.Elapsed().Seconds(), "traj/s")
-		})
-	}
-}
-
 // BenchmarkTable1PaperExample runs the worked FST example of Table 1 —
 // decomposition plus Huffman coding of the paper's 11-edge trajectory.
 func BenchmarkTable1PaperExample(b *testing.B) {
@@ -441,70 +399,6 @@ func BenchmarkAuxStructureBuild(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkStreamSessionIngest measures the live session layer end to end:
-// N concurrent feeders replay the fleet as per-vehicle point streams
-// through a stream.Manager into a 4-shard store (the streambench scenario
-// of cmd/pressbench, as a testing.B benchmark).
-func BenchmarkStreamSessionIngest(b *testing.B) {
-	env, _ := benchSetup(b)
-	comp, err := env.Compressor(100, 60)
-	if err != nil {
-		b.Fatal(err)
-	}
-	feed := env.DS.Truth
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var points uint64
-			for i := 0; i < b.N; i++ {
-				st, err := store.CreateSharded(b.TempDir()+"/fleet", 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mgr, err := stream.NewManager(context.Background(), comp, st, stream.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for {
-							v := int(next.Add(1)) - 1
-							if v >= len(feed) {
-								return
-							}
-							tr := feed[v]
-							id := uint64(v)
-							err := tr.Replay(
-								func(e roadnet.EdgeID) error { return mgr.PushEdge(id, e) },
-								func(p traj.Entry) error { return mgr.PushSample(id, p) },
-							)
-							if err == nil {
-								err = mgr.Flush(id)
-							}
-							if err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				points += mgr.Pushes()
-				if err := mgr.Close(); err != nil {
-					b.Fatal(err)
-				}
-				st.Close()
-			}
-			b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
-			b.ReportMetric(
-				float64(b.N)*float64(len(feed))/b.Elapsed().Seconds(), "sessions/s")
-		})
-	}
 }
 
 // BenchmarkOnlineCompressorPush isolates the per-point hot path: one

@@ -1,7 +1,7 @@
 // Package experiments contains one runner per table/figure of PRESS §6.
 // Each runner returns a Figure (named series over an x-axis) that
-// cmd/pressbench prints; bench_test.go at the repository root wraps the
-// same code paths in testing.B benchmarks. EXPERIMENTS.md records the
+// cmd/pressbench prints; bench_test.go at the repository root times the
+// same code paths as testing.B benchmarks. EXPERIMENTS.md records the
 // paper-reported numbers next to the measured ones.
 package experiments
 

@@ -46,7 +46,7 @@ func DefaultCity() CityOptions {
 // lattice dimensions grow by √factor, so the edge count grows by roughly
 // factor while spacing, jitter, knockout probability and seed stay fixed.
 // The factor must be a positive perfect square (1, 4, 16, …) so the scaled
-// lattice is exact and deterministic — the spbench scaling race and the
+// lattice is exact and deterministic — the perf ledger's network and the
 // memory-regression tests rely on reproducing the same graph from
 // (options, factor) alone.
 func (o CityOptions) Scale(factor int) (CityOptions, error) {

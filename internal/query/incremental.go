@@ -29,7 +29,7 @@ const DefaultBucketSeconds = 3600
 // Latency is governed by the number of summaries overlapping the query
 // window, not by total stored history: growing a store 100x by appending
 // more hours of data adds buckets the walk skips with one comparison
-// each, which is the flat-latency property querybench measures.
+// each, which keeps fleet-range latency flat as history grows.
 type IncrementalFleetIndex struct {
 	view  *View
 	width float64

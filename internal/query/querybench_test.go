@@ -10,11 +10,11 @@ import (
 	"press/internal/store"
 )
 
-// Benchmarks behind `make querybench`'s claims, kept in-package so the CI
-// benchsmoke pass catches bit-rot: fleet-range via STR vs incremental
-// index, and single-vehicle queries cached vs uncached. The pressbench
-// harness measures the same paths end-to-end over HTTP with growing
-// history; these isolate the in-process costs.
+// In-package query benchmarks, kept here so the CI benchsmoke pass
+// catches bit-rot: fleet-range via STR vs incremental index, and
+// single-vehicle queries cached vs uncached. The perf ledger under bench/
+// measures the same paths end to end over HTTP (the query.* and
+// server.handler_us.* rows); these isolate the in-process costs.
 
 var (
 	qbOnce sync.Once

@@ -794,6 +794,20 @@ func TestIncrementalIndexServing(t *testing.T) {
 	} else if inc.Upserts < uint64(n) {
 		t.Errorf("upserts = %d, want >= %d", inc.Upserts, n)
 	}
+	// A window covering the whole fleet opens every time bucket, so a
+	// rectangle a few metres wide in a corner of the map is left to the
+	// per-vehicle summaries to reject.
+	if inc := stats.Index.Incremental; inc != nil {
+		rejects := inc.SummaryRejects
+		m := fxt.ds.Graph.MBR()
+		rangeIDs(t, ts.URL, 0, 1e12, m.MinX, m.MinY, m.MinX+5, m.MinY+5)
+		if status := getJSON(t, ts.URL+"/v1/stats", &stats); status != http.StatusOK {
+			t.Fatalf("stats = %d", status)
+		}
+		if got := stats.Index.Incremental.SummaryRejects; got <= rejects {
+			t.Errorf("corner range: summary_rejects %d -> %d, want growth", rejects, got)
+		}
+	}
 	// A store change behind the server's back (a delete) is repaired with
 	// a metadata refresh — never a rebuild.
 	if err := st.Delete(ids[0]); err != nil {

@@ -177,10 +177,6 @@ func (h *Hier) finish(opt HierOptions) {
 // Graph returns the underlying road network.
 func (h *Hier) Graph() *roadnet.Graph { return h.g }
 
-// ShortcutCount returns how many shortcut arcs contraction inserted on top
-// of the original line-graph arcs.
-func (h *Hier) ShortcutCount() int { return h.shortcuts }
-
 // ArcCount returns the total arc count (original + shortcuts).
 func (h *Hier) ArcCount() int { return h.numArcs }
 
@@ -550,7 +546,7 @@ func (h *Hier) CachedRows() int {
 // MemoryBytes estimates the Go-heap bytes the hierarchy holds: the flat CH
 // sections (when heap-built; a mapped Hier counts them in MappedBytes
 // instead), plus expanded LRU rows and the miss tally. This is the number
-// the spbench scaling race compares against Table's O(|E|²) rows.
+// TestHierMemoryScalesLinearly holds against Table's O(|E|²) rows.
 func (h *Hier) MemoryBytes() int {
 	total := 0
 	if h.mappedLen == 0 {

@@ -139,8 +139,8 @@ func TestHierRowLRU(t *testing.T) {
 func TestHierShortcutsBounded(t *testing.T) {
 	g := randomGraph(t, 30, 120, 13)
 	h := NewHier(g)
-	if h.ShortcutCount() < 0 || h.ArcCount() < h.ShortcutCount() {
-		t.Fatalf("implausible arc accounting: %d arcs, %d shortcuts", h.ArcCount(), h.ShortcutCount())
+	if h.shortcuts < 0 || h.ArcCount() < h.shortcuts {
+		t.Fatalf("implausible arc accounting: %d arcs, %d shortcuts", h.ArcCount(), h.shortcuts)
 	}
 	// CH over a sparse graph must stay near-linear: allow a generous
 	// constant, catch anything quadratic.
@@ -208,9 +208,9 @@ func TestHierSnapshotRoundTrip(t *testing.T) {
 	if !m.Mapped() || m.MappedBytes() <= 0 {
 		t.Fatal("mapped hierarchy must report mapped bytes")
 	}
-	if m.ShortcutCount() != h.ShortcutCount() || m.ArcCount() != h.ArcCount() {
+	if m.shortcuts != h.shortcuts || m.ArcCount() != h.ArcCount() {
 		t.Fatalf("counts drifted through the snapshot: %d/%d vs %d/%d",
-			m.ShortcutCount(), m.ArcCount(), h.ShortcutCount(), h.ArcCount())
+			m.shortcuts, m.ArcCount(), h.shortcuts, h.ArcCount())
 	}
 	m.expandAfter = 1 << 30
 	checkHierMatchesTable(t, g, m, "mapped")

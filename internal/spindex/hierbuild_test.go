@@ -133,10 +133,10 @@ func TestHierUnpackCache(t *testing.T) {
 			}
 		}
 		hits, misses, bytes := h.UnpackCacheStats()
-		if pass == 0 && h.ShortcutCount() > 0 && misses == 0 {
+		if pass == 0 && h.shortcuts > 0 && misses == 0 {
 			t.Fatal("cold pass recorded no unpack misses")
 		}
-		if pass == 1 && h.ShortcutCount() > 0 {
+		if pass == 1 && h.shortcuts > 0 {
 			if hits == 0 {
 				t.Fatal("warm pass recorded no unpack hits")
 			}
@@ -253,8 +253,7 @@ func BenchmarkHierQueryHot(b *testing.B) {
 	}
 }
 
-// BenchmarkHierBuild tracks the sequential contraction cost (the spbench
-// build gates depend on it staying cheap).
+// BenchmarkHierBuild tracks the sequential contraction cost.
 func BenchmarkHierBuild(b *testing.B) {
 	g := randomGraph(b, 120, 500, 11)
 	b.ResetTimer()

@@ -324,8 +324,8 @@ func BenchmarkFrameDecode(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*points), "ns/point")
 }
 
-// BenchmarkFrameEncode is the client-side counterpart, for the serverbench
-// methodology numbers.
+// BenchmarkFrameEncode is the client-side counterpart of the decode
+// benchmark.
 func BenchmarkFrameEncode(b *testing.B) {
 	var e Encoder
 	const points = 64 * 16
