@@ -77,7 +77,6 @@ func main() {
 		maxSess  = flag.Int("max-session-bytes", 1<<20, "per-session retained-memory cap (0 = unlimited)")
 		maxConc  = flag.Int("max-concurrent", 0, "max concurrent requests (0 = 4x GOMAXPROCS, <0 = unbounded)")
 		cacheB   = flag.Int("cachebytes", 0, "query cache budget in bytes (0 = server default, <0 = off)")
-		incIdx   = flag.Bool("incremental", false, "maintain the fleet index incrementally on each flush (no STR rebuilds)")
 		maxFrame = flag.Int("max-frame-bytes", 0, "binary wire frame payload cap in bytes (0 = 1 MiB default)")
 		drain    = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		cluster  = flag.String("cluster", "", "comma-separated node address list; enables cluster mode (every node and the router must use the same list)")
@@ -131,12 +130,11 @@ func main() {
 	}
 
 	srv, err := sys.NewServer(context.Background(), st, press.ServerOptions{
-		MaxConcurrent:    *maxConc,
-		Stream:           press.StreamOptions{MaxSessionBytes: *maxSess},
-		QueryCacheBytes:  *cacheB,
-		IncrementalIndex: *incIdx,
-		MaxFrameBytes:    *maxFrame,
-		Cluster:          clusterOpt,
+		MaxConcurrent:   *maxConc,
+		Stream:          press.StreamOptions{MaxSessionBytes: *maxSess},
+		QueryCacheBytes: *cacheB,
+		MaxFrameBytes:   *maxFrame,
+		Cluster:         clusterOpt,
 	})
 	if err != nil {
 		st.Close()

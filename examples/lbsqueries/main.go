@@ -105,19 +105,6 @@ func main() {
 	}
 	fmt.Printf("proximity alert: %d trajectories passed within 150m of the depot %v\n", near, depot)
 
-	// --- Fleet-level indexing (the §6.3 R-tree direction): the same region
-	// question answered through an STR R-tree over the compressed fleet.
-	fi, err := sys.NewFleetIndex(cts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ids, err := fi.RangeQuery(0, 600, block)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("fleet index: R-tree pruned the same region query to %d hits: %v...\n",
-		len(ids), head(ids, 8))
-
 	// --- Similarity (§5.4 application 3): closest pair among the first few
 	// trajectories by minimal path distance.
 	bestI, bestJ, bestD := -1, -1, 1e18
@@ -138,11 +125,4 @@ func main() {
 	}
 	fmt.Printf("similarity: closest pair among first %d = (#%d, #%d) at %.1f m minimal path distance\n",
 		limit, bestI, bestJ, bestD)
-}
-
-func head(xs []int, n int) []int {
-	if len(xs) < n {
-		return xs
-	}
-	return xs[:n]
 }

@@ -6,7 +6,7 @@
 // pipeline into a 4-shard fleet store (one concurrent append tail per
 // shard), then reopens the store — per-shard index rebuild, crash-tail
 // recovery — and serves a fleet-level range query straight off disk through
-// the R-tree index.
+// the fleet index.
 package main
 
 import (
@@ -72,22 +72,20 @@ func main() {
 	defer st2.Close()
 	fmt.Printf("reopened: %d records across %d shards\n", st2.Len(), st2.Shards())
 
-	// 3. Fleet query straight off disk: bulk-load the R-tree from the store
-	// and ask who crossed the city center in the first ten minutes.
-	fi, err := sys.NewFleetIndexFromStore(st2)
+	// 3. Fleet query straight off disk: index every vehicle's latest record
+	// from the stored bounding summaries (no payload decode) and ask who
+	// crossed the city center in the first ten minutes.
+	fi, err := sys.NewFleetIndex(st2)
 	if err != nil {
 		log.Fatal(err)
 	}
 	m := ds.Graph.MBR()
 	cx, cy := (m.MinX+m.MaxX)/2, (m.MinY+m.MaxY)/2
 	r := press.NewMBR(press.Point{X: cx - 400, Y: cy - 400}, press.Point{X: cx + 400, Y: cy + 400})
-	hits, err := fi.RangeQuery(0, 600, r)
+	ids, err := fi.RangeIDs(0, 600, r)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("range query: %d trajectories crossed the center in [0s,600s)", len(hits))
-	if len(hits) > 0 {
-		fmt.Printf(" (first: record id %d)", fi.RecordID(hits[0]))
-	}
-	fmt.Println()
+	fmt.Printf("range query: %d of %d vehicles crossed the center in [0s,600s]; first ids %v\n",
+		len(ids), fi.Len(), ids[:min(len(ids), 8)])
 }

@@ -96,9 +96,11 @@ func (c *Cache) getResult(k resultKey) (x, y float64, err error, ok bool) {
 	return e.x, e.y, e.err, true
 }
 
-// putResult memoizes an answer.
+// putResult memoizes an answer. A key with a NaN argument is not
+// memoized: it never compares equal to itself, so it could neither hit nor
+// be evicted from the map.
 func (c *Cache) putResult(k resultKey, x, y float64, err error) {
-	if c == nil {
+	if c == nil || k.a != k.a || k.b != k.b {
 		return
 	}
 	c.resMu.Lock()

@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,15 +17,19 @@ import (
 // opens the buckets it overlaps.
 const DefaultBucketSeconds = 3600
 
-// IncrementalFleetIndex is the updatable FleetIndexer: per-vehicle
-// BoundingSummaries hashed into fixed-width time buckets by trip start.
-// Upsert and Delete are O(1) — this is what a stream flush calls, so a
-// vehicle is queryable the moment its flush returns, with no STR rebuild
-// and no store scan. Queries prune in two stages before any payload work:
-// the bucket walk skips whole buckets outside the time window (and, for
-// range, outside the query rectangle), then per-entry summaries reject
-// candidates individually; only survivors are verified exactly through
-// the View (which decompresses at most once per candidate, cached).
+// IncrementalFleetIndex is the fleet index behind whole-fleet range and
+// nearby queries: per-vehicle BoundingSummaries hashed into fixed-width
+// time buckets by trip start, answering in ascending trajectory ids. It
+// holds one entry per vehicle — the latest record, the same one the
+// single-vehicle queries serve — so a compaction that drops superseded
+// records changes no answer. Upsert and Delete are O(1) — this is what a
+// stream flush calls, so a vehicle is queryable the moment its flush
+// returns, with no rebuild and no store scan. Queries prune in two stages
+// before any payload work: the bucket walk skips whole buckets outside the
+// time window (and, for range, outside the query rectangle), then
+// per-entry summaries reject candidates individually; only survivors are
+// verified exactly through the View (which decompresses at most once per
+// candidate, cached).
 //
 // Latency is governed by the number of summaries overlapping the query
 // window, not by total stored history: growing a store 100x by appending
@@ -234,8 +239,21 @@ func (ix *IncrementalFleetIndex) candidatesFor(t1, t2 float64, keep func(*core.B
 	return sortDedupIDs(out)
 }
 
-// RangeIDs implements FleetIndexer: summary-filtered candidates, each
-// verified exactly with the §5.3 predicate through the view.
+func sortDedupIDs(ids []uint64) []uint64 {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	out := ids[:0]
+	for i, id := range ids {
+		if i == 0 || id != out[len(out)-1] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// RangeIDs returns the ids of vehicles whose latest record passes through
+// r during [t1, t2], ascending: summary-filtered candidates, each verified
+// exactly with the §5.3 predicate through the view. Only records whose
+// lifetime overlaps the window are considered.
 func (ix *IncrementalFleetIndex) RangeIDs(t1, t2 float64, r geo.MBR) ([]uint64, error) {
 	if t2 < t1 {
 		t1, t2 = t2, t1
@@ -259,7 +277,8 @@ func (ix *IncrementalFleetIndex) RangeIDs(t1, t2 float64, r geo.MBR) ([]uint64, 
 	return out, nil
 }
 
-// NearbyIDs implements FleetIndexer: summary-filtered candidates, each
+// NearbyIDs returns the ids of vehicles whose latest record comes within
+// dist of p during [t1, t2], ascending: summary-filtered candidates, each
 // verified exactly with the §5.4 nearby predicate through the view.
 func (ix *IncrementalFleetIndex) NearbyIDs(p geo.Point, dist, t1, t2 float64) ([]uint64, error) {
 	if t2 < t1 {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"press/internal/core"
 	"press/internal/geo"
 	"press/internal/store"
 )
@@ -40,17 +41,49 @@ func incFixture(t *testing.T, bucketSeconds float64) (*fixture, *store.ShardedSt
 	return f, st, v, ix
 }
 
-// The incremental index must return exactly the ids the STR FleetIndex
-// returns, over many random windows and both bucket granularities.
-func TestIncrementalMatchesSTR(t *testing.T) {
-	for _, width := range []float64{0, 100} { // default hourly, and many small buckets
-		f, st, _, ix := incFixture(t, width)
-		str, err := NewFleetIndexFromStore(f.eng, st)
+// alive reports lifetime overlap with the query window: the fleet index
+// only considers trajectories active during [t1, t2].
+func alive(ct *core.Compressed, t1, t2 float64) bool {
+	n := len(ct.Temporal)
+	if n == 0 {
+		return false
+	}
+	return ct.Temporal[n-1].T >= t1 && ct.Temporal[0].T <= t2
+}
+
+// bruteIDs is the reference answer: every fixture record alive in the
+// window whose exact per-trajectory predicate holds, in ascending id order.
+func bruteIDs(t *testing.T, cts []*core.Compressed, t1, t2 float64, hit func(*core.Compressed) (bool, error)) []uint64 {
+	t.Helper()
+	var want []uint64
+	for i, ct := range cts {
+		if !alive(ct, t1, t2) {
+			continue
+		}
+		ok, err := hit(ct)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ix.Len() != str.Len() {
-			t.Fatalf("width %v: len %d want %d", width, ix.Len(), str.Len())
+		if ok {
+			want = append(want, uint64(i))
+		}
+	}
+	return want
+}
+
+// sameIDs compares id lists, treating nil and empty as equal.
+func sameIDs(got, want []uint64) bool {
+	return (len(got) == 0 && len(want) == 0) || reflect.DeepEqual(got, want)
+}
+
+// The incremental index must return exactly the ids a brute-force pass of
+// the exact Range / PassesNear predicates returns over every record alive
+// in the window, over many random windows and both bucket granularities.
+func TestIncrementalMatchesBruteForce(t *testing.T) {
+	for _, width := range []float64{0, 100} { // default hourly, and many small buckets
+		f, _, _, ix := incFixture(t, width)
+		if ix.Len() != len(f.cts) {
+			t.Fatalf("width %v: len %d want %d", width, ix.Len(), len(f.cts))
 		}
 		netMBR := f.ds.Graph.MBR()
 		rng := rand.New(rand.NewSource(29))
@@ -61,34 +94,205 @@ func TestIncrementalMatchesSTR(t *testing.T) {
 			r := geo.NewMBR(geo.Point{X: cx - half, Y: cy - half}, geo.Point{X: cx + half, Y: cy + half})
 			t1 := rng.Float64() * 500
 			t2 := t1 + rng.Float64()*500
-			want, err := str.RangeIDs(t1, t2, r)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := bruteIDs(t, f.cts, t1, t2, func(ct *core.Compressed) (bool, error) {
+				return f.eng.Range(ct, t1, t2, r)
+			})
 			got, err := ix.RangeIDs(t1, t2, r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !sameIDs(got, want) {
 				t.Fatalf("width %v trial %d: RangeIDs %v want %v", width, trial, got, want)
 			}
+			p := geo.Point{X: cx, Y: cy}
 			dist := 50 + rng.Float64()*400
-			wantN, err := str.NearbyIDs(geo.Point{X: cx, Y: cy}, dist, t1, t2)
+			wantN := bruteIDs(t, f.cts, t1, t2, func(ct *core.Compressed) (bool, error) {
+				return f.eng.PassesNear(ct, p, dist, t1, t2)
+			})
+			gotN, err := ix.NearbyIDs(p, dist, t1, t2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotN, err := ix.NearbyIDs(geo.Point{X: cx, Y: cy}, dist, t1, t2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotN, wantN) {
+			if !sameIDs(gotN, wantN) {
 				t.Fatalf("width %v trial %d: NearbyIDs %v want %v", width, trial, gotN, wantN)
 			}
 		}
-		stats := ix.Stats()
-		if stats.Verifies == 0 {
+		if ix.Stats().Verifies == 0 {
 			t.Error("no candidates were ever verified")
 		}
+	}
+}
+
+// Range windows drawn independently of the ones above (smaller boxes,
+// earlier starts) at the default bucket width: the index answer must equal
+// the brute-force answer.
+func TestFleetIndexRangeMatchesBruteForce(t *testing.T) {
+	f, _, _, ix := incFixture(t, 0)
+	rng := rand.New(rand.NewSource(41))
+	netMBR := f.ds.Graph.MBR()
+	for trial := 0; trial < 30; trial++ {
+		cx := netMBR.MinX + rng.Float64()*(netMBR.MaxX-netMBR.MinX)
+		cy := netMBR.MinY + rng.Float64()*(netMBR.MaxY-netMBR.MinY)
+		half := 50 + rng.Float64()*400
+		r := geo.NewMBR(geo.Point{X: cx - half, Y: cy - half}, geo.Point{X: cx + half, Y: cy + half})
+		t1 := rng.Float64() * 400
+		t2 := t1 + rng.Float64()*600
+		want := bruteIDs(t, f.cts, t1, t2, func(ct *core.Compressed) (bool, error) {
+			return f.eng.Range(ct, t1, t2, r)
+		})
+		got, err := ix.RangeIDs(t1, t2, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(got, want) {
+			t.Fatalf("trial %d: index %v brute %v", trial, got, want)
+		}
+	}
+}
+
+// Nearby over all time at fine buckets, so every query window spans every
+// bucket: the index answer must equal the brute-force answer.
+func TestFleetIndexNearbyMatchesBruteForce(t *testing.T) {
+	f, _, _, ix := incFixture(t, 100)
+	rng := rand.New(rand.NewSource(43))
+	netMBR := f.ds.Graph.MBR()
+	for trial := 0; trial < 30; trial++ {
+		p := geo.Point{
+			X: netMBR.MinX + rng.Float64()*(netMBR.MaxX-netMBR.MinX),
+			Y: netMBR.MinY + rng.Float64()*(netMBR.MaxY-netMBR.MinY),
+		}
+		dist := 30 + rng.Float64()*250
+		want := bruteIDs(t, f.cts, 0, 1e9, func(ct *core.Compressed) (bool, error) {
+			return f.eng.PassesNear(ct, p, dist, 0, 1e9)
+		})
+		got, err := ix.NearbyIDs(p, dist, 0, 1e9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(got, want) {
+			t.Fatalf("trial %d: index %v brute %v", trial, got, want)
+		}
+	}
+}
+
+// The deleted STR index answered from every record the store's Scan
+// yields. On a store where no vehicle has a superseded session (one record
+// per id, some ids tombstoned, one id appended late) the incremental index
+// must give the same answers as that Scan-based reference; it differs only
+// where a vehicle has superseded sessions, which it does not index.
+func TestIncrementalMatchesSTR(t *testing.T) {
+	f, st, _, ix := incFixture(t, 100)
+	for id := 0; id < len(f.cts); id += 3 {
+		if err := st.Delete(uint64(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	late := uint64(len(f.cts) + 5)
+	if err := st.Append(late, f.cts[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.RefreshFromStore(st); err != nil {
+		t.Fatal(err)
+	}
+	type rec struct {
+		id uint64
+		ct *core.Compressed
+	}
+	var scanned []rec
+	if err := st.Scan(func(id uint64, ct *core.Compressed) error {
+		scanned = append(scanned, rec{id, ct})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Len() != len(scanned) {
+		t.Fatalf("index len %d, store scan yields %d", ix.Len(), len(scanned))
+	}
+	scanIDs := func(t1, t2 float64, hit func(*core.Compressed) (bool, error)) []uint64 {
+		var want []uint64
+		for _, r := range scanned {
+			if !alive(r.ct, t1, t2) {
+				continue
+			}
+			ok, err := hit(r.ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				want = append(want, r.id)
+			}
+		}
+		return sortDedupIDs(want)
+	}
+	rng := rand.New(rand.NewSource(47))
+	netMBR := f.ds.Graph.MBR()
+	for trial := 0; trial < 30; trial++ {
+		cx := netMBR.MinX + rng.Float64()*(netMBR.MaxX-netMBR.MinX)
+		cy := netMBR.MinY + rng.Float64()*(netMBR.MaxY-netMBR.MinY)
+		half := 50 + rng.Float64()*400
+		r := geo.NewMBR(geo.Point{X: cx - half, Y: cy - half}, geo.Point{X: cx + half, Y: cy + half})
+		t1 := rng.Float64() * 400
+		t2 := t1 + rng.Float64()*600
+		want := scanIDs(t1, t2, func(ct *core.Compressed) (bool, error) {
+			return f.eng.Range(ct, t1, t2, r)
+		})
+		got, err := ix.RangeIDs(t1, t2, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(got, want) {
+			t.Fatalf("trial %d: RangeIDs %v, scan reference %v", trial, got, want)
+		}
+		p := geo.Point{X: cx, Y: cy}
+		wantN := scanIDs(t1, t2, func(ct *core.Compressed) (bool, error) {
+			return f.eng.PassesNear(ct, p, half, t1, t2)
+		})
+		gotN, err := ix.NearbyIDs(p, half, t1, t2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(gotN, wantN) {
+			t.Fatalf("trial %d: NearbyIDs %v, scan reference %v", trial, gotN, wantN)
+		}
+	}
+}
+
+// A window before any trip starts matches nothing at either bucket width,
+// even though the per-trajectory Range clamps it to each trip's first
+// position.
+func TestFleetIndexTimePruning(t *testing.T) {
+	for _, width := range []float64{0, 100} {
+		f, _, _, ix := incFixture(t, width)
+		netMBR := f.ds.Graph.MBR()
+		if got, err := ix.RangeIDs(-1e6, -1e5, netMBR); err != nil || len(got) != 0 {
+			t.Errorf("width %v: pre-time window returned %v (%v)", width, got, err)
+		}
+		if got, err := ix.NearbyIDs(netMBR.Center(), 1e6, -1e6, -1e5); err != nil || len(got) != 0 {
+			t.Errorf("width %v: pre-time nearby returned %v (%v)", width, got, err)
+		}
+	}
+}
+
+// An empty store indexes nothing and answers nothing.
+func TestFleetIndexEmpty(t *testing.T) {
+	f := newFixture(t, 0, 0)
+	st, err := store.CreateSharded(filepath.Join(t.TempDir(), "empty"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ix, err := NewIncrementalFleetIndex(NewMustView(t, f, st), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.RefreshFromStore(st); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ix.RangeIDs(0, 1e9, f.ds.Graph.MBR()); err != nil || len(got) != 0 || ix.Len() != 0 {
+		t.Errorf("empty index: len %d, query %v (%v)", ix.Len(), got, err)
+	}
+	if got, err := ix.NearbyIDs(f.ds.Graph.MBR().Center(), 1e6, 0, 1e9); err != nil || len(got) != 0 {
+		t.Errorf("empty index nearby: %v (%v)", got, err)
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 )
 
 // In-package query benchmarks, kept here so the CI benchsmoke pass
-// catches bit-rot: fleet-range via STR vs incremental index, and
-// single-vehicle queries cached vs uncached. The perf ledger under bench/
-// measures the same paths end to end over HTTP (the query.* and
-// server.handler_us.* rows); these isolate the in-process costs.
+// catches bit-rot: fleet range and per-flush upsert through the fleet
+// index, and single-vehicle queries cached vs uncached. The perf ledger
+// under bench/ measures the same paths end to end over HTTP (the query.*
+// and server.handler_us.* rows); these isolate the in-process costs.
 
 var (
 	qbOnce sync.Once
@@ -59,26 +59,8 @@ func qbWindow(f *fixture, rng *rand.Rand) (float64, float64, geo.MBR) {
 	return t1, t1 + 200, r
 }
 
-// BenchmarkFleetRangeSTR is the baseline candidate generator: STR
-// bulk-loaded FleetIndex, rebuilt from a full store scan.
-func BenchmarkFleetRangeSTR(b *testing.B) {
-	f, st := qbSetup(b)
-	fi, err := NewFleetIndexFromStore(f.eng, st)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t1, t2, r := qbWindow(f, rng)
-		if _, err := fi.RangeIDs(t1, t2, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFleetRangeIncremental is the same query through the
-// incremental index: summary pruning plus cached verification.
+// BenchmarkFleetRangeIncremental is a fleet range query through the
+// fleet index: summary pruning plus cached verification.
 func BenchmarkFleetRangeIncremental(b *testing.B) {
 	f, st := qbSetup(b)
 	v, err := NewView(f.eng, st, NewCache(16<<20))
@@ -102,8 +84,8 @@ func BenchmarkFleetRangeIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalUpsert is the per-flush index maintenance cost the
-// incremental design buys (vs a full STR rebuild per generation change).
+// BenchmarkIncrementalUpsert is the per-flush index maintenance cost: one
+// in-place upsert, no store scan.
 func BenchmarkIncrementalUpsert(b *testing.B) {
 	f, st := qbSetup(b)
 	v, err := NewView(f.eng, st, NewCache(16<<20))

@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -492,5 +493,24 @@ func TestViewResultMemoCacheOff(t *testing.T) {
 	}
 	if st := v.CacheStats(); st.ResultHits != 0 || st.ResultMisses != 0 {
 		t.Fatalf("nil cache counted memo traffic: %+v", st)
+	}
+}
+
+// A NaN query argument never compares equal to itself, so a memoized
+// NaN-keyed answer could neither hit nor be evicted from the map: the LRU
+// list drained while the map kept growing, and the next eviction
+// dereferenced nil. Such keys must not be memoized at all.
+func TestResultMemoSkipsNaNKeys(t *testing.T) {
+	c := NewCache(1 << 20)
+	for i := 0; i <= resultMemoEntries; i++ {
+		c.putResult(resultKey{id: 1, kind: resultWhereAt, a: math.NaN()}, 0, 0, nil)
+		c.putResult(resultKey{id: 1, kind: resultWhenAt, a: 1, b: math.NaN()}, 0, 0, nil)
+	}
+	c.putResult(resultKey{id: 1, kind: resultWhereAt, a: 1}, 2, 3, nil)
+	if n := len(c.resItems); n > resultMemoEntries || n != c.resLL.Len() {
+		t.Fatalf("memo holds %d map entries and %d list entries (cap %d)", n, c.resLL.Len(), resultMemoEntries)
+	}
+	if x, y, _, ok := c.getResult(resultKey{id: 1, kind: resultWhereAt, a: 1}); !ok || x != 2 || y != 3 {
+		t.Fatalf("normal key after NaN puts = (%v, %v, %v)", x, y, ok)
 	}
 }

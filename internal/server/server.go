@@ -26,7 +26,7 @@
 //	GET  /v1/whenat        ?id=&x=&y=       -> {"t":..}
 //	GET  /v1/range         ?id=&t1=&t2=&xmin=&ymin=&xmax=&ymax= -> {"hit":..}
 //	                       without id: fleet-index-backed range over every
-//	                       stored vehicle -> {"ids":[..]}
+//	                       vehicle's latest record -> {"ids":[..]}
 //	GET  /v1/mindistance   ?a=&b=           -> {"distance":..}
 //	POST /v1/mindistance   ?a=, body = a marshalled record -> {"distance":..};
 //	                       the cluster's cross-node hop: distance between
@@ -62,6 +62,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"runtime"
@@ -120,13 +121,7 @@ type Options struct {
 	// endpoints (see internal/wire); 0 selects wire.DefaultMaxPayload
 	// (1 MiB). Oversized frames are refused with 413 before buffering.
 	MaxFrameBytes int
-	// IncrementalIndex selects the incrementally maintained fleet index:
-	// each session flush upserts the vehicle's bounding summary in place
-	// (O(1)), so fleet queries never pay an STR rebuild as the store grows.
-	// Fleet answers then follow the latest-record-per-vehicle semantics the
-	// single-vehicle endpoints already use. When false (the default) fleet
-	// queries use the STR bulk-loaded index over every stored record,
-	// rebuilt whenever the store generation changes.
+	// Deprecated: ignored; the incremental index is the only fleet index.
 	IncrementalIndex bool
 	// Cluster places this server in a static N-node partition (see
 	// ClusterOptions): id-keyed endpoints refuse vehicles another node owns
@@ -155,7 +150,6 @@ type Config struct {
 // stop with Shutdown.
 type Server struct {
 	cfg   Config
-	eng   *query.Engine
 	st    *store.ShardedStore
 	mgr   *stream.Manager
 	mux   *http.ServeMux
@@ -179,18 +173,13 @@ type Server struct {
 	wirePoints atomic.Uint64
 	wireCRC    atomic.Uint64
 
-	// Fleet index state. Exactly one of the two modes is active:
-	// STR (idx, rebuilt when idxGen falls behind the store generation) or
-	// incremental (inc, upserted on every flush; incGen tracks the store
-	// generation the index reflects so external store changes — a Compact,
-	// a Delete — trigger a metadata refresh, never a full rebuild).
-	idxMu    sync.Mutex
-	idx      *query.FleetIndex
-	idxGen   uint64
-	rebuilds atomic.Uint64
-	inc      *query.IncrementalFleetIndex
-	incGen   atomic.Uint64
-	applied  atomic.Uint64 // flush records applied to the incremental index
+	// Fleet index state: inc is upserted on every flush; incGen tracks the
+	// store generation the index reflects so external store changes — a
+	// Compact, a Delete — trigger a metadata refresh, never a rebuild.
+	idxMu   sync.Mutex
+	inc     *query.IncrementalFleetIndex
+	incGen  atomic.Uint64
+	applied atomic.Uint64 // flush records applied to the index
 
 	metrics map[string]*endpointMetrics
 }
@@ -214,7 +203,6 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		eng:     cfg.Engine,
 		st:      cfg.Store,
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
@@ -230,33 +218,31 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.view = view
-	if cfg.IncrementalIndex {
-		inc, err := query.NewIncrementalFleetIndex(view, 0)
-		if err != nil {
-			return nil, err
+	inc, err := query.NewIncrementalFleetIndex(view, 0)
+	if err != nil {
+		return nil, err
+	}
+	if err := inc.RefreshFromStore(cfg.Store); err != nil {
+		return nil, fmt.Errorf("server: priming fleet index: %w", err)
+	}
+	s.inc = inc
+	s.incGen.Store(cfg.Store.Generation())
+	// Each successful flush is one store append (one generation tick);
+	// applying its summary here keeps the index exactly in step without
+	// a store scan. The flushed record always carries its summary, so
+	// the upsert never decodes.
+	userHook := cfg.Stream.OnFlush
+	cfg.Stream.OnFlush = func(id uint64, ct *core.Compressed) {
+		s.incGen.Add(1)
+		if err := inc.Upsert(id, ct.Summary); err != nil {
+			// Could not apply: flag the index stale so the next fleet
+			// query repairs it with a metadata refresh.
+			s.incGen.Store(0)
+		} else {
+			s.applied.Add(1)
 		}
-		if err := inc.RefreshFromStore(cfg.Store); err != nil {
-			return nil, fmt.Errorf("server: priming incremental index: %w", err)
-		}
-		s.inc = inc
-		s.incGen.Store(cfg.Store.Generation())
-		// Each successful flush is one store append (one generation tick);
-		// applying its summary here keeps the index exactly in step without
-		// a store scan. The flushed record always carries its summary, so
-		// the upsert never decodes.
-		userHook := cfg.Stream.OnFlush
-		cfg.Stream.OnFlush = func(id uint64, ct *core.Compressed) {
-			s.incGen.Add(1)
-			if err := inc.Upsert(id, ct.Summary); err != nil {
-				// Could not apply: flag the index stale so the next fleet
-				// query repairs it with a metadata refresh.
-				s.incGen.Store(0)
-			} else {
-				s.applied.Add(1)
-			}
-			if userHook != nil {
-				userHook(id, ct)
-			}
+		if userHook != nil {
+			userHook(id, ct)
 		}
 	}
 	mgr, err := stream.NewManager(ctx, cfg.Compressor, cfg.Store, cfg.Stream)
@@ -418,45 +404,26 @@ func (s *Server) Close() error { return s.Shutdown(context.Background()) }
 // it in-process alongside the HTTP path.
 func (s *Server) Sessions() *stream.Manager { return s.mgr }
 
-// fleetIndexer returns the active fleet index, current as of the store's
-// generation counter. The generation — not the record count — is the
-// invalidation key: a delete+insert pair that leaves the count unchanged
-// still ticks the generation, so no query can ever see a stale index (the
-// bug the old Len()-keyed rebuild had).
-//
-// STR mode rebuilds the index from a full scan whenever the generation
-// moved. Incremental mode normally never rebuilds: session flushes upsert
-// the index in place and advance incGen in step with the store; only an
-// out-of-band store change (Delete, Compact, a direct Append outside the
-// session layer) leaves incGen behind, repaired here with a metadata-only
-// refresh.
-func (s *Server) fleetIndexer() (query.FleetIndexer, error) {
-	if s.inc != nil {
-		if s.incGen.Load() != s.st.Generation() {
-			s.idxMu.Lock()
-			defer s.idxMu.Unlock()
-			if gen := s.st.Generation(); s.incGen.Load() != gen {
-				if err := s.inc.RefreshFromStore(s.st); err != nil {
-					return nil, err
-				}
-				s.incGen.Store(gen)
+// fleetIndex returns the fleet index, current as of the store's generation
+// counter. The generation — not the record count — is the invalidation
+// key: a delete+insert pair that leaves the count unchanged still ticks
+// the generation, so no query can ever see a stale index. Session flushes
+// upsert the index in place and advance incGen in step with the store;
+// only an out-of-band store change (Delete, Compact, a direct Append
+// outside the session layer) leaves incGen behind, repaired here with a
+// metadata-only refresh.
+func (s *Server) fleetIndex() (*query.IncrementalFleetIndex, error) {
+	if s.incGen.Load() != s.st.Generation() {
+		s.idxMu.Lock()
+		defer s.idxMu.Unlock()
+		if gen := s.st.Generation(); s.incGen.Load() != gen {
+			if err := s.inc.RefreshFromStore(s.st); err != nil {
+				return nil, err
 			}
+			s.incGen.Store(gen)
 		}
-		return s.inc, nil
 	}
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	gen := s.st.Generation()
-	if s.idx != nil && s.idxGen == gen {
-		return s.idx, nil
-	}
-	idx, err := query.NewFleetIndexFromStore(s.eng, s.st)
-	if err != nil {
-		return nil, err
-	}
-	s.rebuilds.Add(1)
-	s.idx, s.idxGen = idx, gen
-	return idx, nil
+	return s.inc, nil
 }
 
 // --- wire types ---
@@ -660,11 +627,10 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("id") == "" {
-		// Fleet-level: which stored vehicles crossed the region in the
-		// window? The index prunes (R-tree leaves or bounding summaries,
-		// depending on the mode); survivors run the exact Range predicate.
-		// Both index implementations answer in ascending deduplicated ids.
-		idx, err := s.fleetIndexer()
+		// Fleet-level: which vehicles' latest records crossed the region
+		// in the window? The index prunes by bounding summary; survivors
+		// run the exact Range predicate. Ids come back ascending.
+		idx, err := s.fleetIndex()
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err.Error())
 			return
@@ -756,35 +722,21 @@ type queryStats struct {
 	Decodes      uint64           `json:"decodes"`
 }
 
-// indexInfo describes the active fleet index. Mode "str" reports how many
-// full bulk-load rebuilds queries have paid; mode "incremental" reports the
-// in-place maintenance and pruning counters instead (Rebuilds stays 0 —
-// that is the point).
+// indexInfo describes the fleet index: its size, the flush records
+// applied in place, and its maintenance and pruning counters.
 type indexInfo struct {
-	Mode        string            `json:"mode"`
 	Len         int               `json:"len"`
-	Rebuilds    uint64            `json:"rebuilds"`
 	Applied     uint64            `json:"applied,omitempty"`
 	Incremental *query.IndexStats `json:"incremental,omitempty"`
 }
 
 func (s *Server) indexInfo() indexInfo {
-	if s.inc != nil {
-		st := s.inc.Stats()
-		return indexInfo{
-			Mode:        "incremental",
-			Len:         s.inc.Len(),
-			Applied:     s.applied.Load(),
-			Incremental: &st,
-		}
+	st := s.inc.Stats()
+	return indexInfo{
+		Len:         st.Entries,
+		Applied:     s.applied.Load(),
+		Incremental: &st,
 	}
-	s.idxMu.Lock()
-	n := 0
-	if s.idx != nil {
-		n = s.idx.Len()
-	}
-	s.idxMu.Unlock()
-	return indexInfo{Mode: "str", Len: n, Rebuilds: s.rebuilds.Load()}
 }
 
 // clusterStats is the /v1/stats cluster section, present only in cluster
@@ -901,16 +853,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("press_query_decodes_total", "Records fully decoded by the query view.", s.view.Decodes())
 
 	idx := s.indexInfo()
-	gauge("press_fleet_index_entries", "Vehicles in the fleet index (mode: "+idx.Mode+").", float64(idx.Len))
-	counter("press_fleet_index_rebuilds_total", "Full STR bulk-load rebuilds paid by fleet queries.", idx.Rebuilds)
-	if inc := idx.Incremental; inc != nil {
-		counter("press_fleet_index_upserts_total", "In-place index upserts.", inc.Upserts)
-		counter("press_fleet_index_deletes_total", "In-place index deletes.", inc.Deletes)
-		counter("press_fleet_index_refreshes_total", "Metadata-only index refreshes.", inc.Refreshes)
-		counter("press_fleet_index_summary_rejects_total", "Candidates rejected by bounding summary.", inc.SummaryRejects)
-		counter("press_fleet_index_buckets_skipped_total", "Time buckets skipped whole.", inc.BucketsSkipped)
-		counter("press_fleet_index_verifies_total", "Candidates verified with the exact predicate.", inc.Verifies)
-	}
+	gauge("press_fleet_index_entries", "Vehicles in the fleet index.", float64(idx.Len))
+	inc := idx.Incremental
+	counter("press_fleet_index_upserts_total", "In-place index upserts.", inc.Upserts)
+	counter("press_fleet_index_deletes_total", "In-place index deletes.", inc.Deletes)
+	counter("press_fleet_index_refreshes_total", "Metadata-only index refreshes.", inc.Refreshes)
+	counter("press_fleet_index_summary_rejects_total", "Candidates rejected by bounding summary.", inc.SummaryRejects)
+	counter("press_fleet_index_buckets_skipped_total", "Time buckets skipped whole.", inc.BucketsSkipped)
+	counter("press_fleet_index_verifies_total", "Candidates verified with the exact predicate.", inc.Verifies)
 
 	if s.cfg.SPInfo != nil {
 		sp := s.cfg.SPInfo()
@@ -984,9 +934,11 @@ func writeQueryErr(w http.ResponseWriter, id uint64, err error) {
 
 // --- helpers ---
 
+// parseFloat parses the query parameter key as a number. NaN is refused:
+// it matches no position or time, and compares unequal to itself.
 func parseFloat(w http.ResponseWriter, r *http.Request, key string) (float64, bool) {
 	v, err := strconv.ParseFloat(r.URL.Query().Get(key), 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) {
 		writeErr(w, http.StatusBadRequest, "bad or missing "+key)
 		return 0, false
 	}

@@ -339,8 +339,9 @@ func TestEndToEndMatchesFacade(t *testing.T) {
 		}
 	}
 
-	// Fleet-level range (no id): compare against a facade-built index over
-	// the same store.
+	// Fleet-level range (no id): compare against a brute-force facade Range
+	// over the same stored records, keeping only vehicles whose lifetime
+	// overlaps the window (the fleet index's rule).
 	g := fxt.ds.Graph.MBR()
 	quad := press.NewMBR(press.Point{X: g.MinX, Y: g.MinY},
 		press.Point{X: (g.MinX + g.MaxX) / 2, Y: (g.MinY + g.MaxY) / 2})
@@ -353,17 +354,22 @@ func TestEndToEndMatchesFacade(t *testing.T) {
 			tMax = hi
 		}
 	}
-	idx, err := fxt.sys.NewFleetIndexFromStore(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos, err := idx.RangeQuery(tMin, tMax, quad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIDs := make(map[uint64]bool, len(pos))
-	for _, p := range pos {
-		wantIDs[idx.RecordID(p)] = true
+	wantIDs := make(map[uint64]bool)
+	for i := 0; i < n; i++ {
+		ct, err := st.Get(uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := len(ct.Temporal); k == 0 || ct.Temporal[k-1].T < tMin || ct.Temporal[0].T > tMax {
+			continue
+		}
+		hit, err := fxt.sys.Range(ct, tMin, tMax, quad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit {
+			wantIDs[uint64(i)] = true
+		}
 	}
 	var fleet struct{ IDs []uint64 }
 	u := fmt.Sprintf("%s/v1/range?t1=%s&t2=%s&xmin=%s&ymin=%s&xmax=%s&ymax=%s",
@@ -645,9 +651,7 @@ type queryStatsDoc struct {
 		Decodes uint64 `json:"decodes"`
 	} `json:"query"`
 	Index struct {
-		Mode        string `json:"mode"`
 		Len         int    `json:"len"`
-		Rebuilds    uint64 `json:"rebuilds"`
 		Applied     uint64 `json:"applied"`
 		Incremental *struct {
 			Upserts        uint64 `json:"upserts"`
@@ -680,84 +684,76 @@ func worldRange(t *testing.T, base string, fxt *fixture) []uint64 {
 	return rangeIDs(t, base, 0, 1e12, m.MinX, m.MinY, m.MaxX, m.MaxY)
 }
 
-// Regression for the stale-fleet-index bug: the rebuild used to be keyed
-// on the store's record count, so a count-preserving delete+insert left
-// queries answering from the old index. The generation counter must catch
-// it in both index modes.
+// Regression for the stale-fleet-index bug: a rebuild keyed on the
+// store's record count left queries answering from the old index after a
+// count-preserving delete+insert. The generation counter must catch it.
 func TestFleetIndexSeesCountPreservingDeleteInsert(t *testing.T) {
-	for _, mode := range []struct {
-		name        string
-		incremental bool
-	}{{"str", false}, {"incremental", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			fxt := getFixture(t)
-			st, err := press.CreateShardedFleetStore(t.TempDir()+"/fleet", 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, err := fxt.sys.NewServer(context.Background(), st, press.ServerOptions{
-				IncrementalIndex: mode.incremental,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(srv.Handler())
-			defer func() {
-				ts.Close()
-				srv.Close()
-				st.Close()
-			}()
-			ct0, err := fxt.sys.Compress(fxt.ds.Truth[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			ct1, err := fxt.sys.Compress(fxt.ds.Truth[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Append(0, ct0); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Append(1, ct1); err != nil {
-				t.Fatal(err)
-			}
-			got := worldRange(t, ts.URL, fxt)
-			if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-				t.Fatalf("baseline fleet range = %v, want [0 1]", got)
-			}
-			// Count-preserving churn: delete vehicle 1, insert the same
-			// trajectory under id 2. Len() is back to 2; only the
-			// generation says anything happened.
-			before := st.Len()
-			if err := st.Delete(1); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Append(2, ct1); err != nil {
-				t.Fatal(err)
-			}
-			if st.Len() != before {
-				t.Fatalf("churn was not count-preserving: %d -> %d", before, st.Len())
-			}
-			got = worldRange(t, ts.URL, fxt)
-			if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-				t.Fatalf("post-churn fleet range = %v, want [0 2] (stale index?)", got)
-			}
-		})
-	}
+	// The subtest names the index under test: the incremental index is the
+	// only fleet index, built with default options.
+	t.Run("incremental", func(t *testing.T) {
+		fxt := getFixture(t)
+		st, err := press.CreateShardedFleetStore(t.TempDir()+"/fleet", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := fxt.sys.NewServer(context.Background(), st, press.ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer func() {
+			ts.Close()
+			srv.Close()
+			st.Close()
+		}()
+		ct0, err := fxt.sys.Compress(fxt.ds.Truth[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct1, err := fxt.sys.Compress(fxt.ds.Truth[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(0, ct0); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(1, ct1); err != nil {
+			t.Fatal(err)
+		}
+		got := worldRange(t, ts.URL, fxt)
+		if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+			t.Fatalf("baseline fleet range = %v, want [0 1]", got)
+		}
+		// Count-preserving churn: delete vehicle 1, insert the same
+		// trajectory under id 2. Len() is back to 2; only the
+		// generation says anything happened.
+		before := st.Len()
+		if err := st.Delete(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(2, ct1); err != nil {
+			t.Fatal(err)
+		}
+		if st.Len() != before {
+			t.Fatalf("churn was not count-preserving: %d -> %d", before, st.Len())
+		}
+		got = worldRange(t, ts.URL, fxt)
+		if len(got) != 2 || got[0] != 0 || got[1] != 2 {
+			t.Fatalf("post-churn fleet range = %v, want [0 2] (stale index?)", got)
+		}
+	})
 }
 
-// In incremental mode a flushed vehicle must become fleet-queryable via
-// in-place upserts: zero STR rebuilds, applied counter in step with the
-// flushes, and summary pruning doing real work.
+// A flushed vehicle must become fleet-queryable via in-place upserts:
+// applied counter in step with the flushes, and summary pruning doing
+// real work.
 func TestIncrementalIndexServing(t *testing.T) {
 	fxt := getFixture(t)
 	st, err := press.CreateShardedFleetStore(t.TempDir()+"/fleet", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := fxt.sys.NewServer(context.Background(), st, press.ServerOptions{
-		IncrementalIndex: true,
-	})
+	srv, err := fxt.sys.NewServer(context.Background(), st, press.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -776,12 +772,6 @@ func TestIncrementalIndexServing(t *testing.T) {
 	var stats queryStatsDoc
 	if status := getJSON(t, ts.URL+"/v1/stats", &stats); status != http.StatusOK {
 		t.Fatalf("stats = %d", status)
-	}
-	if stats.Index.Mode != "incremental" {
-		t.Fatalf("index mode = %q", stats.Index.Mode)
-	}
-	if stats.Index.Rebuilds != 0 {
-		t.Errorf("incremental mode paid %d STR rebuilds", stats.Index.Rebuilds)
 	}
 	if stats.Index.Applied != uint64(n) {
 		t.Errorf("applied = %d, want %d", stats.Index.Applied, n)
@@ -809,7 +799,7 @@ func TestIncrementalIndexServing(t *testing.T) {
 		}
 	}
 	// A store change behind the server's back (a delete) is repaired with
-	// a metadata refresh — never a rebuild.
+	// a metadata refresh.
 	if err := st.Delete(ids[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -825,11 +815,130 @@ func TestIncrementalIndexServing(t *testing.T) {
 	if status := getJSON(t, ts.URL+"/v1/stats", &stats); status != http.StatusOK {
 		t.Fatalf("stats = %d", status)
 	}
-	if stats.Index.Rebuilds != 0 {
-		t.Errorf("delete caused %d STR rebuilds", stats.Index.Rebuilds)
-	}
 	if stats.Index.Incremental == nil || stats.Index.Incremental.Refreshes < 2 {
 		t.Errorf("expected a catch-up refresh after the external delete: %+v", stats.Index.Incremental)
+	}
+}
+
+// Fleet answers come from each vehicle's latest record, so compacting the
+// store away its superseded records changes no answer. Vehicle 5 first
+// stores trip A, which crosses box R during window W, then trip B, which
+// does not: the fleet range over (W, R) is empty before and after Compact,
+// and whereat serves trip B throughout.
+func TestFleetRangeStableAcrossCompact(t *testing.T) {
+	fxt := getFixture(t)
+	const id = 5
+	ctA, err := fxt.sys.Compress(fxt.ds.Truth[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := ctA.Temporal[len(ctA.Temporal)/2].T
+	w1, w2 := mid-1, mid+1
+	pA, err := fxt.sys.WhereAt(ctA, mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := press.NewMBR(press.Point{X: pA.X - 20, Y: pA.Y - 20}, press.Point{X: pA.X + 20, Y: pA.Y + 20})
+	var ctB *press.Compressed
+	for _, tr := range fxt.ds.Truth[1:] {
+		ct, err := fxt.sys.Compress(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit, err := fxt.sys.Range(ct, w1, w2, r); err == nil && !hit {
+			ctB = ct
+			break
+		}
+	}
+	if ctB == nil {
+		t.Fatal("no fixture trip avoids the box")
+	}
+	tB := ctB.Temporal[0].T
+	wantB, err := fxt.sys.WhereAt(ctB, tB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := press.CreateShardedFleetStore(filepath.Join(dir, "src"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(id, ctA); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(id, ctB); err != nil {
+		t.Fatal(err)
+	}
+	check := func(st *press.ShardedFleetStore, phase string) {
+		t.Helper()
+		srv, err := fxt.sys.NewServer(context.Background(), st, press.ServerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer func() {
+			ts.Close()
+			srv.Close()
+		}()
+		if got := rangeIDs(t, ts.URL, w1, w2, r.MinX, r.MinY, r.MaxX, r.MaxY); len(got) != 0 {
+			t.Errorf("%s: fleet range = %v, want [] (trip A is superseded)", phase, got)
+		}
+		var pos struct{ X, Y float64 }
+		if s := getJSON(t, fmt.Sprintf("%s/v1/whereat?id=%d&t=%s", ts.URL, id, f(tB)), &pos); s != http.StatusOK {
+			t.Fatalf("%s: whereat = %d", phase, s)
+		}
+		if pos.X != wantB.X || pos.Y != wantB.Y {
+			t.Errorf("%s: whereat = %+v, want trip B's %+v", phase, pos, wantB)
+		}
+	}
+	check(st, "before compact")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, dropped, err := press.CompactFleetStore(filepath.Join(dir, "src"), filepath.Join(dir, "dst")); err != nil || dropped != 1 {
+		t.Fatalf("compact: dropped %d (%v), want 1", dropped, err)
+	}
+	st2, err := press.OpenShardedFleetStore(filepath.Join(dir, "dst"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	check(st2, "after compact")
+}
+
+// A NaN query argument is refused up front: it matches no position or
+// time, and as a memo key it never compares equal to itself.
+func TestNaNQueryArgumentRefused(t *testing.T) {
+	fxt := getFixture(t)
+	st, err := press.CreateShardedFleetStore(t.TempDir()+"/fleet", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := fxt.sys.NewServer(context.Background(), st, press.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+		st.Close()
+	}()
+	ct, err := fxt.sys.Compress(fxt.ds.Truth[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(1, ct); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"/v1/whereat?id=1&t=NaN",
+		"/v1/whenat?id=1&x=NaN&y=0",
+		"/v1/range?t1=NaN&t2=1&xmin=0&ymin=0&xmax=1&ymax=1",
+	} {
+		if s := getJSON(t, ts.URL+q, nil); s != http.StatusBadRequest {
+			t.Errorf("GET %s = %d, want 400", q, s)
+		}
 	}
 }
 
@@ -925,9 +1034,7 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := fxt.sys.NewServer(context.Background(), st, press.ServerOptions{
-		IncrementalIndex: true,
-	})
+	srv, err := fxt.sys.NewServer(context.Background(), st, press.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

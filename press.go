@@ -150,11 +150,6 @@ type Config struct {
 	// negative = caching off). Consulted by NewServer when the per-server
 	// ServerOptions leave the knob zero.
 	QueryCacheBytes int
-	// IncrementalIndex makes servers built from this system maintain their
-	// fleet index in place on every session flush instead of rebuilding the
-	// STR index when the store changes. Consulted by NewServer when the
-	// per-server ServerOptions leave the knob false.
-	IncrementalIndex bool
 	// SPBuildWorkers sets how many goroutines the contraction-hierarchy
 	// build runs on (0 = GOMAXPROCS). The hierarchy — and any snapshot
 	// written from it — is byte-identical at every worker count; the knob
@@ -572,9 +567,6 @@ func (s *System) NewServer(ctx context.Context, st *ShardedFleetStore, opt Serve
 	if opt.QueryCacheBytes == 0 {
 		opt.QueryCacheBytes = s.cfg.QueryCacheBytes
 	}
-	if !opt.IncrementalIndex {
-		opt.IncrementalIndex = s.cfg.IncrementalIndex
-	}
 	return server.New(ctx, server.Config{
 		Engine:     s.engine,
 		Compressor: s.compressor,
@@ -745,21 +737,27 @@ func (s *System) NewFleetStore(dir string) (*ShardedFleetStore, error) {
 	return store.CreateSharded(dir, s.cfg.StoreShards)
 }
 
-// FleetIndex is an STR-packed R-tree over a compressed fleet enabling
-// fleet-level queries (which trajectories crossed a region in a window)
-// without decompression — the indexing direction §6.3 of the paper sketches
-// as future work.
-type FleetIndex = query.FleetIndex
+// FleetIndex answers fleet-level queries (which vehicles crossed a region,
+// or came near a point, in a window) over each vehicle's latest stored
+// record without decompressing the rest: bounding summaries prune, and
+// only survivors run the exact §5 predicate. It is the index a Server
+// serves /v1/range without an id from.
+type FleetIndex = query.IncrementalFleetIndex
 
-// NewFleetIndex bulk-loads an R-tree over compressed trajectories using
-// this system's auxiliary structures.
-func (s *System) NewFleetIndex(cts []*Compressed) (*FleetIndex, error) {
-	return query.NewFleetIndex(s.engine, cts)
-}
-
-// NewFleetIndexFromStore bulk-loads a fleet index straight from a fleet
-// store without materializing the fleet as a slice first. Use
-// FleetIndex.RecordID to map query results back to store record ids.
-func (s *System) NewFleetIndexFromStore(st query.Scanner) (*FleetIndex, error) {
-	return query.NewFleetIndexFromStore(s.engine, st)
+// NewFleetIndex indexes the latest record of every vehicle in st from the
+// store's persisted bounding summaries. The index does not follow later
+// changes to st; call RefreshFromStore(st) to catch up.
+func (s *System) NewFleetIndex(st *ShardedFleetStore) (*FleetIndex, error) {
+	view, err := query.NewView(s.engine, st, nil)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := query.NewIncrementalFleetIndex(view, 0)
+	if err != nil {
+		return nil, err
+	}
+	if err := fi.RefreshFromStore(st); err != nil {
+		return nil, err
+	}
+	return fi, nil
 }

@@ -319,11 +319,11 @@ func TestShardedFleetStoreFacade(t *testing.T) {
 	if st2.Len() != stored {
 		t.Fatalf("reopened Len %d want %d", st2.Len(), stored)
 	}
-	fi, err := sys.NewFleetIndexFromStore(st2)
+	fi, err := sys.NewFleetIndex(st2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := fi.RangeQuery(0, 1e9, sys.Graph().MBR())
+	hits, err := fi.RangeIDs(0, 1e9, sys.Graph().MBR())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,18 +382,33 @@ func TestFleetStoreThroughFacade(t *testing.T) {
 	}
 }
 
+// The fleet index built through the facade over a store holding the whole
+// compressed truth set must return every trajectory for the whole-network
+// box over all time.
 func TestFleetIndexFacade(t *testing.T) {
 	sys, ds := buildSystem(t, DefaultConfig())
 	cts, err := sys.CompressAll(ds.Truth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, err := sys.NewFleetIndex(cts)
+	st, err := sys.NewFleetStore(t.TempDir() + "/fleet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The whole-network box over all time must return every trajectory.
-	all, err := fi.RangeQuery(0, 1e9, ds.Graph.MBR())
+	defer st.Close()
+	for i, ct := range cts {
+		if err := st.Append(uint64(i), ct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fi, err := sys.NewFleetIndex(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Len() != len(cts) {
+		t.Fatalf("index Len %d want %d", fi.Len(), len(cts))
+	}
+	all, err := fi.RangeIDs(0, 1e9, ds.Graph.MBR())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,6 +94,12 @@ echo "$metrics" | grep -q '^# TYPE press_sp_mapped_bytes gauge'
 echo "$metrics" | grep -q '^# TYPE press_sp_heap_bytes gauge'
 echo "$metrics" | grep -q '^press_sp_build_workers [1-9]'
 echo "$metrics" | grep -q '^# TYPE press_sp_unpack_cache_hits_total counter'
+# The flush above upserted the fleet index in place; there is no other
+# index, so no rebuild counter exists.
+echo "$metrics" | grep -q '^press_fleet_index_upserts_total [1-9]'
+if echo "$metrics" | grep -q 'press_fleet_index_rebuilds'; then
+    echo "pressd still exposes a fleet index rebuild counter"; exit 1
+fi
 
 drain "$tmp/pressd.log"
 
