@@ -142,9 +142,9 @@ func main() {
 	}
 
 	stats := sys.SPStats()
-	fmt.Printf("pressd: booted in %v: %d edges, SP %s mapped (%d bytes, %d cached rows), store %q (%d records, %d shards)\n",
+	fmt.Printf("pressd: booted in %v: %d edges, SP %s mapped (%d bytes), store %q (%d records, %d shards)\n",
 		boot.Round(time.Millisecond), g.NumEdges(), stats.Kind,
-		stats.MappedBytes, stats.CachedRows, *storeDir, st.Len(), st.Shards())
+		stats.MappedBytes, *storeDir, st.Len(), st.Shards())
 
 	if clusterOpt.Nodes > 1 {
 		fmt.Printf("pressd: cluster node %d of %d (owning vehicles where hash(id) %% %d == %d)\n",

@@ -60,8 +60,8 @@ func main() {
 	}
 	defer sys.Close()
 	stats := sys.SPStats()
-	fmt.Printf("booted from snapshot in %v: mapped=%v, %d hot-source rows cached\n",
-		time.Since(t0).Round(time.Millisecond), stats.Mapped, stats.CachedRows)
+	fmt.Printf("booted from snapshot in %v: mapped=%v, %d bytes mapped\n",
+		time.Since(t0).Round(time.Millisecond), stats.Mapped, stats.MappedBytes)
 
 	st, err := press.CreateShardedFleetStore(filepath.Join(dir, "fleet"), 4)
 	if err != nil {
@@ -180,8 +180,8 @@ func main() {
 
 	var sd struct {
 		SP struct {
-			Mapped     bool `json:"mapped"`
-			CachedRows int  `json:"cached_rows"`
+			Mapped    bool `json:"mapped"`
+			HeapBytes int  `json:"heap_bytes"`
 		} `json:"sp"`
 		Store struct {
 			Records int   `json:"records"`
@@ -189,8 +189,8 @@ func main() {
 		} `json:"store"`
 	}
 	get("/v1/stats", &sd)
-	fmt.Printf("stats: sp mapped=%v cached_rows=%d, store %d records (%d bytes)\n",
-		sd.SP.Mapped, sd.SP.CachedRows, sd.Store.Records, sd.Store.Bytes)
+	fmt.Printf("stats: sp mapped=%v heap_bytes=%d, store %d records (%d bytes)\n",
+		sd.SP.Mapped, sd.SP.HeapBytes, sd.Store.Records, sd.Store.Bytes)
 
 	// --- graceful drain; the store remains an ordinary sharded store ---
 	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

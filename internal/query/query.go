@@ -9,8 +9,8 @@
 //   - per-Trie-node distances: the network length of each node's
 //     sub-trajectory after SP decompression (Tsub(n).d);
 //   - per-Trie-node MBRs of the decompressed sub-trajectory;
-//   - shortest-path distances (via the spindex table) and lazily cached
-//     MBRs for the shortest-path gaps between consecutive pieces.
+//   - lazily cached distances, edges and MBRs of the shortest-path gaps
+//     between consecutive pieces.
 //
 // A compressed spatial code is viewed as an alternating sequence of units:
 // trie-node pieces and the shortest-path gaps joining them. Queries walk
@@ -45,6 +45,7 @@ type Engine struct {
 	nodePl    []geo.Polyline     // per trie node: decompressed geometry
 
 	mu       sync.RWMutex
+	gapDist  map[gapKey]float64
 	gapMBR   map[gapKey]geo.MBR
 	gapEdges map[gapKey][]roadnet.EdgeID
 	gapPl    map[gapKey]geo.Polyline
@@ -64,6 +65,7 @@ func NewEngine(g *roadnet.Graph, sp spindex.SP, cb *core.Codebook) (*Engine, err
 		nodeMBR:   make([]geo.MBR, n),
 		nodeEdges: make([][]roadnet.EdgeID, n),
 		nodePl:    make([]geo.Polyline, n),
+		gapDist:   make(map[gapKey]float64),
 		gapMBR:    make(map[gapKey]geo.MBR),
 		gapEdges:  make(map[gapKey][]roadnet.EdgeID),
 		gapPl:     make(map[gapKey]geo.Polyline),
@@ -82,11 +84,11 @@ func NewEngine(g *roadnet.Graph, sp spindex.SP, cb *core.Codebook) (*Engine, err
 }
 
 // MemoryBytes estimates the engine's auxiliary storage (the §6.3 overhead
-// discussion): node distances + node MBRs + cached gap MBRs.
+// discussion): node distances + node MBRs + cached gap distances and MBRs.
 func (e *Engine) MemoryBytes() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	total := len(e.nodeDist)*8 + len(e.nodeMBR)*32 + len(e.gapMBR)*(8+32)
+	total := len(e.nodeDist)*8 + len(e.nodeMBR)*32 + len(e.gapDist)*(8+8) + len(e.gapMBR)*(8+32)
 	for _, edges := range e.nodeEdges {
 		total += len(edges) * 4
 	}
@@ -146,7 +148,7 @@ func (c *cursor) next() (unit, bool, error) {
 	if c.prev != trie.NoNode {
 		a := c.e.cb.Trie.LastEdge(c.prev)
 		b := c.e.cb.Trie.FirstEdge(n)
-		gap := c.e.sp.GapDist(a, b)
+		gap := c.e.gapDistOf(a, b)
 		if math.IsInf(gap, 1) {
 			return unit{}, false, fmt.Errorf("query: disconnected pieces %d->%d", a, b)
 		}
@@ -203,6 +205,23 @@ func (e *Engine) units(ct *core.Compressed) ([]unit, error) {
 		}
 		out = append(out, u)
 	}
+}
+
+// gapDistOf returns the network length of the shortest-path gap a→b,
+// caching it: every decode of a record walks the same gaps again.
+func (e *Engine) gapDistOf(a, b roadnet.EdgeID) float64 {
+	k := gapKey{a, b}
+	e.mu.RLock()
+	d, ok := e.gapDist[k]
+	e.mu.RUnlock()
+	if ok {
+		return d
+	}
+	d = e.sp.GapDist(a, b)
+	e.mu.Lock()
+	e.gapDist[k] = d
+	e.mu.Unlock()
+	return d
 }
 
 // edgesOf returns the edge path of a unit: a precomputed table lookup for

@@ -211,6 +211,54 @@ func TestEngineMemoryBytes(t *testing.T) {
 	}
 }
 
+// TestGapLengthsMatchSP pins every decoded unit length, bit for bit, to the
+// shortest-path source. A Hier-backed engine decodes each record twice —
+// cold, then through its gap memo — and must reproduce the Table-backed
+// engine's units, with every gap as long as an independent Table's GapDist.
+func TestGapLengthsMatchSP(t *testing.T) {
+	f := newFixture(t, 0, 0)
+	g := f.ds.Graph
+	hier, err := NewEngine(g, spindex.NewHier(g), f.eng.cb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := spindex.NewTable(g)
+	gaps := 0
+	for pass := 0; pass < 2; pass++ {
+		for i, ct := range f.cts {
+			want, err := f.eng.units(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := hier.units(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("pass %d record %d: %d units, want %d", pass, i, len(got), len(want))
+			}
+			for j, u := range got {
+				w := want[j]
+				if u.isGap != w.isGap || u.node != w.node || u.from != w.from || u.to != w.to ||
+					math.Float64bits(u.startD) != math.Float64bits(w.startD) ||
+					math.Float64bits(u.length) != math.Float64bits(w.length) {
+					t.Fatalf("pass %d record %d unit %d: %+v, want %+v", pass, i, j, u, w)
+				}
+				if !u.isGap {
+					continue
+				}
+				gaps++
+				if d := oracle.GapDist(u.from, u.to); math.Float64bits(u.length) != math.Float64bits(d) {
+					t.Fatalf("pass %d record %d unit %d: gap length %v, GapDist %v", pass, i, j, u.length, d)
+				}
+			}
+		}
+	}
+	if gaps == 0 {
+		t.Fatal("no gap units decoded")
+	}
+}
+
 func TestSubPolyline(t *testing.T) {
 	pl := geo.Polyline{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 10, Y: 10}}
 	sub := subPolyline(pl, 5, 15)

@@ -86,21 +86,22 @@ import (
 // SPInfo mirrors the facade's SPStats accounting (field-for-field, so the
 // facade converts between the two types directly): which shortest-path
 // implementation is active (always "hier"), how it is resident (mapped
-// snapshot vs Go heap), how many exact rows its hot-source LRU holds on the
-// heap, and the hierarchy's build and cache counters.
+// snapshot vs Go heap), and the hierarchy's build and cache counters.
 type SPInfo struct {
-	Kind        string `json:"kind"`
-	Mapped      bool   `json:"mapped"`
-	CachedRows  int    `json:"cached_rows"`
-	HeapBytes   int    `json:"heap_bytes"`
-	MappedBytes int    `json:"mapped_bytes"`
+	Kind   string `json:"kind"`
+	Mapped bool   `json:"mapped"`
+	// Deprecated: always 0; Hier holds no rows.
+	CachedRows  int `json:"cached_rows"`
+	HeapBytes   int `json:"heap_bytes"`
+	MappedBytes int `json:"mapped_bytes"`
 
-	BuildWorkers     int    `json:"build_workers"`
-	WitnessSettleCap int    `json:"witness_settle_cap"`
-	RowCacheBytes    int    `json:"row_cache_bytes"`
-	UnpackHits       uint64 `json:"unpack_hits"`
-	UnpackMisses     uint64 `json:"unpack_misses"`
-	UnpackBytes      int    `json:"unpack_bytes"`
+	BuildWorkers     int `json:"build_workers"`
+	WitnessSettleCap int `json:"witness_settle_cap"`
+	// Deprecated: always 0; Hier holds no rows.
+	RowCacheBytes int    `json:"row_cache_bytes"`
+	UnpackHits    uint64 `json:"unpack_hits"`
+	UnpackMisses  uint64 `json:"unpack_misses"`
+	UnpackBytes   int    `json:"unpack_bytes"`
 }
 
 // Options tunes the serving behavior.
@@ -867,10 +868,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "# HELP press_sp_kind Active shortest-path implementation (value is always 1; the kind label carries the information).\n# TYPE press_sp_kind gauge\npress_sp_kind{kind=%q} 1\n", sp.Kind)
 		gauge("press_sp_heap_bytes", "Shortest-path source bytes resident on the Go heap.", float64(sp.HeapBytes))
 		gauge("press_sp_mapped_bytes", "Shortest-path source bytes served from the read-only snapshot mapping.", float64(sp.MappedBytes))
-		gauge("press_sp_cached_rows", "Shortest-path rows materialized on the heap.", float64(sp.CachedRows))
 		gauge("press_sp_build_workers", "Goroutines the contraction-hierarchy build ran on.", float64(sp.BuildWorkers))
 		gauge("press_sp_witness_settle_cap", "Resolved witness settle cap of the hierarchy build.", float64(sp.WitnessSettleCap))
-		gauge("press_sp_row_cache_bytes", "Heap bytes of the hot-source exact-row LRU.", float64(sp.RowCacheBytes))
 		counter("press_sp_unpack_cache_hits_total", "Shortcut-unpack cache hits.", sp.UnpackHits)
 		counter("press_sp_unpack_cache_misses_total", "Shortcut-unpack cache misses.", sp.UnpackMisses)
 		gauge("press_sp_unpack_cache_bytes", "Heap bytes of the shortcut-unpack cache.", float64(sp.UnpackBytes))

@@ -1,45 +1,42 @@
 package spindex
 
-// Hier is the SP implementation the system serves: a contraction hierarchy
-// (CH) built over the same line graph Table runs Dijkstra on (edges as
-// nodes; the arc a→b exists when To(a) == From(b) and costs w(b)).
-// Construction contracts nodes in a heuristic importance order, inserting a
-// shortcut u→w for a contracted node v only when no witness path of equal
-// or smaller cost survives among the uncontracted nodes; queries then run
-// two upward Dijkstras (forward from src over arcs into higher-ranked nodes,
-// backward from dst over arcs from higher-ranked nodes) whose best meeting
-// node yields a shortest path after shortcut unpacking. Memory is
-// O(|E| + shortcuts) instead of Table's O(|E|²) rows.
+// Hier is the SP implementation the system serves. It answers the two
+// path questions — SPEnd and Path — with the very search Table runs, and
+// distances from a contraction hierarchy (CH) built over the same line graph
+// (edges as nodes; the arc a→b exists when To(a) == From(b) and costs w(b)).
 //
-// Answer identity with Table is a hard contract, and floating point makes
-// it subtle: a shortcut's weight is fl(c1+c2), summed in contraction order,
-// while Table accumulates fl left-to-right along the path. Hier therefore
-// never reports a CH-summed distance. Every Dist unpacks the winning
-// up-down path into its original line-graph nodes and re-sums the weights
-// left to right — the exact float accumulation dijkstraRow performs — and
-// SPEnd re-derives Table's canonical predecessor locally: among the
-// in-edges p of From(dst), the candidates are those with
-// fl(D(p)+w(dst)) == D(dst) that Table would have settled before dst
-// (D(p) < D(dst), or D(p) == D(dst) with p < dst), and the canonical
-// SPend is the smallest candidate id. When the local rule finds no
-// candidate, or a source gets hot, Hier falls back to dijkstraRow itself —
-// the very code Table runs — via a bounded LRU of expanded rows, so
-// repeated lookups against one source (the compressor's anchor pattern)
-// amortize to table speed and correctness can never drift.
+// SPEnd and Path run dijkstraRow's loop from src — the same (dist, id) heap
+// order and the same relaxation rule — over pooled, epoch-stamped scratch,
+// and stop as soon as dst is popped. dijkstraRow never relaxes a settled
+// node, so at that pop pred[dst] and the whole predecessor chain are final:
+// the answers are Table's by construction, for every graph, ties included.
 //
-// The residual gap this cannot close: two distinct shortest paths whose
-// true lengths differ by less than a float re-association error (sub-ULP
-// "near ties" between different weight multisets) could make the CH prefer
-// a path whose left-to-right re-sum is one ULP off Table's. Real-valued
-// edge weights derived from geometry never exhibit this (exact ties come
-// from identical weight multisets, which re-sum identically), and the
-// property tests and FuzzHierVsTable enforce equality on every seed
-// exercised. DESIGN.md states the contract precisely.
+// Dist and GapDist come from the CH. Construction contracts nodes in a
+// heuristic importance order, inserting a shortcut u→w for a contracted node
+// v only when no witness path of equal or smaller cost survives among the
+// uncontracted nodes; a query then runs two upward Dijkstras (forward from
+// src over arcs into higher-ranked nodes, backward from dst over arcs from
+// higher-ranked nodes) whose best meeting node yields a shortest path after
+// shortcut unpacking. Memory is O(|E| + shortcuts) instead of Table's
+// O(|E|²) rows. A shortcut's weight is fl(c1+c2), summed in contraction
+// order, while Table accumulates fl left-to-right along the path, so Hier
+// never reports a CH-summed distance: every Dist unpacks the winning up-down
+// path into its original line-graph nodes and re-sums the weights left to
+// right, the exact float accumulation dijkstraRow performs.
+//
+// The residual gap this cannot close, and it concerns Dist alone: two
+// distinct shortest paths whose true lengths differ by less than a float
+// re-association error (sub-ULP "near ties" between different weight
+// multisets) could make the CH prefer a path whose left-to-right re-sum is
+// one ULP off Table's. Real-valued edge weights derived from geometry never
+// exhibit this (exact ties come from identical weight multisets, which
+// re-sum identically), and the property tests and FuzzHierVsTable enforce
+// equality on every seed exercised. DESIGN.md states the contract precisely.
 
 import (
-	"container/list"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 
 	"press/internal/roadnet"
@@ -53,16 +50,6 @@ const (
 	// unpacking terminates by construction.
 	hierArcBytes = 24
 
-	// hierExpandThreshold is how many CH-served SPEnd/Path lookups a single
-	// source sustains before its full Dijkstra row is materialized into the
-	// LRU. Compression hits one anchor edge with a run of SPEnd calls, so a
-	// tiny threshold converts the hot pattern to O(1) row lookups while
-	// one-off sources never pay an O(|E| log |E|) row.
-	hierExpandThreshold = 3
-
-	// defaultHierRowCache bounds the expanded-row LRU (per Hier, in rows).
-	defaultHierRowCache = 64
-
 	// hierWitnessSettleCap bounds each witness search during construction.
 	// Cutting a witness search short only ever adds a redundant shortcut —
 	// never an incorrect distance — so the cap trades a little memory for
@@ -70,31 +57,27 @@ const (
 	hierWitnessSettleCap = 120
 )
 
-// HierOptions tunes a Hier; the zero value picks defaults.
+// HierOptions tunes a Hier build; the zero value picks defaults.
 type HierOptions struct {
-	// RowCacheRows bounds the LRU of fully expanded Dijkstra rows
-	// (0 = default of 64). Each row costs about 12·|E| bytes.
-	RowCacheRows int
-
 	// BuildWorkers sets how many goroutines the batched contraction build
 	// uses (0 = GOMAXPROCS). The hierarchy is byte-identical at any
 	// worker count; the knob only trades build wall-clock for CPU.
 	BuildWorkers int
 
-	// WitnessSettleCap bounds each witness search during construction
-	// (0 = derive from line-graph density, see resolveWitnessCap). The
-	// same value caps the cheap witness probes some query-side heuristics
-	// run, so it is resolved for mapped hierarchies too.
-	WitnessSettleCap int
+	// witnessSettleCap bounds each witness search during construction
+	// (0 = derive from line-graph density, see resolveWitnessCap). Tests
+	// shrink it to prove a truncated search only costs shortcuts.
+	witnessSettleCap int
 
-	// UnpackCacheEntries bounds the LRU of unpacked shortcut expansions
-	// shared by Path/GapDist/SPEnd (0 = default of 2048, negative =
-	// disabled). Each entry costs ~2 original arcs of the shortcut's span.
-	UnpackCacheEntries int
+	// unpackCacheEntries bounds the LRU of unpacked shortcut expansions
+	// (0 = default of 2048, negative = disabled). Tests disable it to
+	// compare answers with and without the cache.
+	unpackCacheEntries int
 }
 
-// Hier answers the SP contract from a contraction hierarchy over the line
-// graph. It is safe for concurrent use. Build one with NewHier (heap) or
+// Hier answers the SP contract: SPEnd and Path from an early-stopped
+// line-graph Dijkstra, Dist and GapDist from a contraction hierarchy. It is
+// safe for concurrent use. Build one with NewHier (heap) or
 // OpenHierMapped (read-only snapshot mapping).
 type Hier struct {
 	g *roadnet.Graph
@@ -121,25 +104,12 @@ type Hier struct {
 	checkOnce    sync.Once
 	checkErr     error
 
-	rowCap       int
-	expandAfter  int // misses per source before row expansion (tests tune it)
 	witnessCap   int // resolved witness settle cap (build knob, reported in stats)
 	buildWorkers int // workers the build actually used (0 for mapped opens)
 
 	unpack *unpackCache // bounded LRU of unpacked shortcut expansions
 
-	mu   sync.Mutex
-	rows map[roadnet.EdgeID]*hierRow
-	lru  *list.List // of roadnet.EdgeID, front = most recently used
-	miss map[roadnet.EdgeID]int
-
 	ctxPool sync.Pool // of *hierCtx
-}
-
-type hierRow struct {
-	pred []roadnet.EdgeID
-	dist []float64
-	elem *list.Element
 }
 
 // NewHier builds a contraction hierarchy over g with default options.
@@ -162,16 +132,8 @@ func NewHierWith(g *roadnet.Graph, opt HierOptions) *Hier {
 
 // finish completes a Hier whose flat sections are already in place.
 func (h *Hier) finish(opt HierOptions) {
-	h.rowCap = opt.RowCacheRows
-	if h.rowCap <= 0 {
-		h.rowCap = defaultHierRowCache
-	}
-	h.expandAfter = hierExpandThreshold
-	h.witnessCap = resolveWitnessCap(opt.WitnessSettleCap, h.numArcs-h.shortcuts, h.n)
-	h.unpack = newUnpackCache(opt.UnpackCacheEntries)
-	h.rows = make(map[roadnet.EdgeID]*hierRow)
-	h.lru = list.New()
-	h.miss = make(map[roadnet.EdgeID]int)
+	h.witnessCap = resolveWitnessCap(opt.witnessSettleCap, h.numArcs-h.shortcuts, h.n)
+	h.unpack = newUnpackCache(opt.unpackCacheEntries)
 }
 
 // Graph returns the underlying road network.
@@ -198,9 +160,9 @@ func (h *Hier) Close() error {
 }
 
 // ensure runs the one-time payload validation of a mapped Hier. It returns
-// false when the snapshot payload is damaged, in which case every query
-// degrades to exact Dijkstra rows through the LRU — slower, still correct,
-// still memory-bounded. EnsureValid exposes the verdict.
+// false when the snapshot payload is damaged, in which case Dist degrades to
+// the early-stopped Dijkstra SPEnd and Path always run — slower, still
+// correct, no extra memory. EnsureValid exposes the verdict.
 func (h *Hier) ensure() bool {
 	if h.payloadCheck == nil {
 		return true
@@ -483,69 +445,51 @@ func (h *Hier) chDist(ctx *hierCtx, src, dst roadnet.EdgeID) float64 {
 	return h.resum(h.pathNodes(ctx, int32(src), int32(dst), meet))
 }
 
-// --- Row LRU ----------------------------------------------------------------
+// --- Early-stopped line-graph Dijkstra --------------------------------------
 
-// peekRow returns the cached row for src, if any, refreshing its LRU slot.
-// When countMiss is set, a miss is tallied against src and expand reports
-// whether the source crossed the expansion threshold.
-func (h *Hier) peekRow(src roadnet.EdgeID, countMiss bool) (r *hierRow, expand bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if r := h.rows[src]; r != nil {
-		h.lru.MoveToFront(r.elem)
-		return r, false
+// settle runs dijkstraRow's loop from src in ctx's scratch — forward stamps
+// mark a tentative dist/pred, backward stamps mark settled nodes — and stops
+// when dst is popped. It reports whether dst was reached. dijkstraRow never
+// relaxes a settled node, so at that pop ctx.df[dst], ctx.pf[dst] and the
+// whole predecessor chain behind it are final and equal Table's row.
+func (h *Hier) settle(ctx *hierCtx, src, dst roadnet.EdgeID) bool {
+	ctx.nextEpoch()
+	q := &ctx.hf
+	q.reset()
+	ctx.setF(int32(src), 0, int32(roadnet.NoEdge))
+	q.push(0, int32(src))
+	for q.len() > 0 {
+		d, v := q.pop()
+		if ctx.hasB(v) {
+			continue
+		}
+		ctx.sb[v] = ctx.epoch
+		if v == int32(dst) {
+			return true
+		}
+		for _, next := range h.g.Out(h.g.Edge(roadnet.EdgeID(v)).To) {
+			w := int32(next)
+			if ctx.hasB(w) {
+				continue
+			}
+			nd := d + h.g.Edge(next).Weight
+			if !ctx.hasF(w) || nd < ctx.df[w] || (nd == ctx.df[w] && v < ctx.pf[w]) {
+				ctx.setF(w, nd, v)
+				q.push(nd, w)
+			}
+		}
 	}
-	if countMiss {
-		h.miss[src]++
-		return nil, h.miss[src] >= h.expandAfter
-	}
-	return nil, false
+	return false
 }
 
-// expandRow materializes (or re-touches) the exact Dijkstra row for src in
-// the LRU. Rows are immutable once published; concurrent expanders of the
-// same source keep the first row, exactly like Table.
-func (h *Hier) expandRow(src roadnet.EdgeID) *hierRow {
-	h.mu.Lock()
-	if r := h.rows[src]; r != nil {
-		h.lru.MoveToFront(r.elem)
-		h.mu.Unlock()
-		return r
-	}
-	h.mu.Unlock()
-	pred, dist := dijkstraRow(h.g, src)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if r := h.rows[src]; r != nil {
-		h.lru.MoveToFront(r.elem)
-		return r
-	}
-	r := &hierRow{pred: pred, dist: dist}
-	r.elem = h.lru.PushFront(src)
-	h.rows[src] = r
-	// A fresh row clears the miss tally; an evicted-then-hot source keeps
-	// its count and re-expands on the next touch.
-	delete(h.miss, src)
-	for len(h.rows) > h.rowCap {
-		back := h.lru.Back()
-		evicted := back.Value.(roadnet.EdgeID)
-		h.lru.Remove(back)
-		delete(h.rows, evicted)
-	}
-	return r
-}
-
-// CachedRows returns how many expanded Dijkstra rows the LRU currently
-// holds (bounded by HierOptions.RowCacheRows).
-func (h *Hier) CachedRows() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.rows)
-}
+// CachedRows reports how many Dijkstra rows the hierarchy holds.
+//
+// Deprecated: always 0; Hier holds no rows.
+func (h *Hier) CachedRows() int { return 0 }
 
 // MemoryBytes estimates the Go-heap bytes the hierarchy holds: the flat CH
 // sections (when heap-built; a mapped Hier counts them in MappedBytes
-// instead), plus expanded LRU rows and the miss tally. This is the number
+// instead) plus the unpack cache. This is the number
 // TestHierMemoryScalesLinearly holds against Table's O(|E|²) rows.
 func (h *Hier) MemoryBytes() int {
 	total := 0
@@ -554,39 +498,13 @@ func (h *Hier) MemoryBytes() int {
 			len(h.fwdIdx) + len(h.fwdList) + len(h.bwdIdx) + len(h.bwdList)
 	}
 	_, _, unpackBytes := h.unpack.stats()
-	total += unpackBytes
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return total + h.rowCacheBytesLocked()
+	return total + unpackBytes
 }
 
-// hierRowOverhead approximates the per-row bookkeeping bytes beyond the
-// pred/dist arrays themselves: the hierRow struct (slice headers + element
-// pointer), its list.Element, and a map-bucket share. Pinned by
-// TestHierRowCacheBytesExact against manual accounting.
-const hierRowOverhead = 120
-
-// rowCacheBytesLocked sums the exact-row LRU's heap bytes: the pred/dist
-// arrays, per-row bookkeeping, and the miss tally. Callers hold h.mu.
-func (h *Hier) rowCacheBytesLocked() int {
-	total := 0
-	for _, r := range h.rows {
-		total += cap(r.pred)*edgeIDBytes + sliceHeaderBytes
-		total += cap(r.dist)*float64Bytes + sliceHeaderBytes
-		total += hierRowOverhead
-	}
-	total += len(h.miss) * (edgeIDBytes + 8)
-	return total
-}
-
-// RowCacheBytes reports the heap bytes held by the hot-source exact-row LRU
-// (rows plus bookkeeping plus the miss tally). Part of MemoryBytes; broken
-// out so SPStats can account for the cache explicitly.
-func (h *Hier) RowCacheBytes() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.rowCacheBytesLocked()
-}
+// RowCacheBytes reports the heap bytes of cached Dijkstra rows.
+//
+// Deprecated: always 0; Hier holds no rows.
+func (h *Hier) RowCacheBytes() int { return 0 }
 
 // WitnessCap reports the resolved witness settle cap the build used (or, for
 // a mapped Hier, the cap the options would resolve to on this graph).
@@ -614,44 +532,12 @@ func (h *Hier) SPEnd(src, dst roadnet.EdgeID) roadnet.EdgeID {
 	if src == dst {
 		return roadnet.NoEdge
 	}
-	r, expand := h.peekRow(src, true)
-	if r != nil {
-		return r.pred[dst]
-	}
-	if expand || !h.ensure() {
-		return h.expandRow(src).pred[dst]
-	}
 	ctx := h.getCtx()
 	defer h.putCtx(ctx)
-	d := h.chDist(ctx, src, dst)
-	if math.IsInf(d, 1) {
+	if !h.settle(ctx, src, dst) {
 		return roadnet.NoEdge
 	}
-	// Canonical local rule: Table's pred[dst] is the smallest in-edge p of
-	// From(dst) whose relaxation reproduces D(dst) and which Table settled
-	// before finishing dst.
-	wdst := h.g.Edge(dst).Weight
-	best := roadnet.NoEdge
-	for _, p := range h.g.In(h.g.Edge(dst).From) {
-		if p == dst || (best != roadnet.NoEdge && p >= best) {
-			continue
-		}
-		dp := h.chDist(ctx, src, p)
-		if math.IsInf(dp, 1) || dp+wdst != d {
-			continue
-		}
-		if !(dp < d || (dp == d && p < dst)) {
-			continue
-		}
-		best = p
-	}
-	if best == roadnet.NoEdge {
-		// The local rule can only come up empty if CH distances strayed
-		// from Table's (see the near-tie caveat in the type comment).
-		// Fall back to the exact row so the answer stays canonical.
-		return h.expandRow(src).pred[dst]
-	}
-	return best
+	return roadnet.EdgeID(ctx.pf[dst])
 }
 
 // Dist returns the shortest-path distance from src to dst under the same
@@ -660,14 +546,14 @@ func (h *Hier) Dist(src, dst roadnet.EdgeID) float64 {
 	if src == dst {
 		return 0
 	}
-	if r, _ := h.peekRow(src, false); r != nil {
-		return r.dist[dst]
-	}
-	if !h.ensure() {
-		return h.expandRow(src).dist[dst]
-	}
 	ctx := h.getCtx()
 	defer h.putCtx(ctx)
+	if !h.ensure() {
+		if !h.settle(ctx, src, dst) {
+			return math.Inf(1)
+		}
+		return ctx.df[dst]
+	}
 	return h.chDist(ctx, src, dst)
 }
 
@@ -684,75 +570,24 @@ func (h *Hier) GapDist(src, dst roadnet.EdgeID) float64 {
 }
 
 // Path reconstructs the canonical shortest path from src to dst, inclusive
-// of both endpoints. Returns nil when unreachable. The walk chains SPEnd
-// lookups, so a long path trips the expansion threshold and finishes
-// against the exact row.
+// of both endpoints, by walking the settled predecessor chain back from dst.
+// Returns nil when unreachable.
 func (h *Hier) Path(src, dst roadnet.EdgeID) []roadnet.EdgeID {
 	if src == dst {
 		return []roadnet.EdgeID{src}
 	}
-	if r, _ := h.peekRow(src, false); r != nil {
-		return h.walkRow(r, src, dst)
-	}
-	if !h.ensure() {
-		return h.walkRow(h.expandRow(src), src, dst)
-	}
-	if !h.Reachable(src, dst) {
-		return nil
-	}
-	rev := make([]roadnet.EdgeID, 0, 8)
-	for cur := dst; cur != src; {
-		rev = append(rev, cur)
-		if len(rev) > h.n {
-			return nil
-		}
-		p := h.SPEnd(src, cur)
-		if p == roadnet.NoEdge {
-			return nil
-		}
-		cur = p
-	}
-	rev = append(rev, src)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// walkRow reconstructs a path from an expanded row, like Table.Path.
-func (h *Hier) walkRow(r *hierRow, src, dst roadnet.EdgeID) []roadnet.EdgeID {
-	if math.IsInf(r.dist[dst], 1) {
+	ctx := h.getCtx()
+	defer h.putCtx(ctx)
+	if !h.settle(ctx, src, dst) {
 		return nil
 	}
 	var rev []roadnet.EdgeID
-	for cur := dst; cur != src; cur = r.pred[cur] {
-		if cur == roadnet.NoEdge || len(rev) > h.n {
-			return nil
-		}
-		rev = append(rev, cur)
+	for cur := int32(dst); cur != int32(src); cur = ctx.pf[cur] {
+		rev = append(rev, roadnet.EdgeID(cur))
 	}
 	rev = append(rev, src)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
+	slices.Reverse(rev)
 	return rev
-}
-
-// Reachable reports whether dst can be reached from src. It needs no
-// unpacking: any meeting node proves reachability.
-func (h *Hier) Reachable(src, dst roadnet.EdgeID) bool {
-	if src == dst {
-		return true
-	}
-	if r, _ := h.peekRow(src, false); r != nil {
-		return !math.IsInf(r.dist[dst], 1)
-	}
-	if !h.ensure() {
-		return !math.IsInf(h.expandRow(src).dist[dst], 1)
-	}
-	ctx := h.getCtx()
-	defer h.putCtx(ctx)
-	return h.runQuery(ctx, int32(src), int32(dst)) >= 0
 }
 
 // --- Deterministic binary heap ---------------------------------------------

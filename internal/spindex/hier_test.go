@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -35,9 +36,6 @@ func checkHierMatchesTable(t *testing.T, g *roadnet.Graph, h *Hier, label string
 			if math.Float64bits(wg) != math.Float64bits(gg) {
 				t.Fatalf("%s: GapDist(%d,%d) = %v, table %v", label, a, b, gg, wg)
 			}
-			if wr, gr := tab.Reachable(src, dst), h.Reachable(src, dst); wr != gr {
-				t.Fatalf("%s: Reachable(%d,%d) = %v, table %v", label, a, b, gr, wr)
-			}
 		}
 		// Paths for a sampled set of destinations per source.
 		for b := a % 7; b < n; b += 7 {
@@ -63,18 +61,7 @@ func TestHierMatchesTableRandomGraphs(t *testing.T) {
 		{8, 20, 1}, {12, 40, 2}, {16, 60, 3}, {20, 80, 4}, {25, 110, 5},
 	} {
 		g := randomGraph(t, tc.nv, tc.ne, tc.seed)
-		// Pure CH answers first: an absurd expansion threshold keeps the
-		// row fallback out of the picture, so every Dist/SPEnd below
-		// exercises the bidirectional search and the canonical local rule.
-		h := NewHier(g)
-		h.expandAfter = 1 << 30
-		checkHierMatchesTable(t, g, h, "pure-CH")
-		if h.CachedRows() != 0 {
-			t.Fatalf("pure-CH sweep expanded %d rows", h.CachedRows())
-		}
-		// Then the production configuration, where hot sources expand rows:
-		// answers must be identical either way.
-		checkHierMatchesTable(t, g, NewHier(g), "with-LRU")
+		checkHierMatchesTable(t, g, NewHier(g), "random")
 	}
 }
 
@@ -89,10 +76,7 @@ func TestHierMatchesTableCity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := NewHier(g)
-		h.expandAfter = 1 << 30
-		checkHierMatchesTable(t, g, h, "city-pure-CH")
-		checkHierMatchesTable(t, g, NewHier(g), "city-with-LRU")
+		checkHierMatchesTable(t, g, NewHier(g), "city")
 	}
 }
 
@@ -107,32 +91,6 @@ func TestHierBuildDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two builds over the same graph serialized differently")
-	}
-}
-
-func TestHierRowLRU(t *testing.T) {
-	g := randomGraph(t, 20, 70, 9)
-	h := NewHierWith(g, HierOptions{RowCacheRows: 2})
-	tab := NewTable(g)
-	n := g.NumEdges()
-	// Hammer SPEnd from several sources so each crosses the expansion
-	// threshold; the LRU must stay within its cap and answers must match.
-	for _, src := range []roadnet.EdgeID{0, 3, 7, 11} {
-		for b := 0; b < n; b++ {
-			dst := roadnet.EdgeID(b)
-			if got, want := h.SPEnd(src, dst), tab.SPEnd(src, dst); got != want {
-				t.Fatalf("SPEnd(%d,%d) = %d, want %d", src, dst, got, want)
-			}
-		}
-	}
-	if got := h.CachedRows(); got > 2 {
-		t.Fatalf("LRU holds %d rows, cap 2", got)
-	}
-	if h.MemoryBytes() <= 0 {
-		t.Fatal("MemoryBytes must be positive for a heap hierarchy")
-	}
-	if h.MappedBytes() != 0 || h.Mapped() {
-		t.Fatal("heap hierarchy reports mapped bytes")
 	}
 }
 
@@ -212,7 +170,6 @@ func TestHierSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("counts drifted through the snapshot: %d/%d vs %d/%d",
 			m.shortcuts, m.ArcCount(), h.shortcuts, h.ArcCount())
 	}
-	m.expandAfter = 1 << 30
 	checkHierMatchesTable(t, g, m, "mapped")
 	// Re-exporting the mapped hierarchy must reproduce the file bit for bit.
 	var buf bytes.Buffer
@@ -280,8 +237,9 @@ func TestHierSnapshotOpenErrors(t *testing.T) {
 
 // TestHierSnapshotFirstTouchDegrades is the validate-on-first-touch
 // contract: payload damage is invisible to the (header-only) open, surfaces
-// on EnsureValid, and queries degrade to exact Dijkstra rows — correct
-// answers, bounded memory — instead of serving damaged sections.
+// on EnsureValid, and Dist degrades to the early-stopped Dijkstra SPEnd and
+// Path always run — Table's answers on every pair, no rows held — instead of
+// serving damaged sections.
 func TestHierSnapshotFirstTouchDegrades(t *testing.T) {
 	g := randomGraph(t, 12, 40, 55)
 	h := NewHier(g)
@@ -319,10 +277,13 @@ func TestHierSnapshotFirstTouchDegrades(t *testing.T) {
 			if got, want := m.SPEnd(src, dst), tab.SPEnd(src, dst); got != want {
 				t.Fatalf("degraded SPEnd(%d,%d) = %d, want %d", a, b, got, want)
 			}
+			if got, want := m.Path(src, dst), tab.Path(src, dst); !slices.Equal(got, want) {
+				t.Fatalf("degraded Path(%d,%d) = %v, want %v", a, b, got, want)
+			}
 		}
 	}
-	if m.CachedRows() == 0 {
-		t.Fatal("degraded mode should be serving from expanded rows")
+	if got := m.MemoryBytes(); got != 0 {
+		t.Fatalf("degraded mapping holds %d heap bytes, want 0", got)
 	}
 }
 
@@ -349,6 +310,10 @@ func TestHierConcurrentQueries(t *testing.T) {
 					errc <- errors.New("concurrent SPEnd mismatch")
 					return
 				}
+				if got, want := h.Path(a, b), tab.Path(a, b); !slices.Equal(got, want) {
+					errc <- errors.New("concurrent Path mismatch")
+					return
+				}
 			}
 		}(w)
 	}
@@ -363,7 +328,8 @@ func TestHierConcurrentQueries(t *testing.T) {
 // FuzzHierVsTable cross-checks the hierarchy against the all-pairs table on
 // fuzzer-chosen graph shapes: full Dist/SPEnd equality plus bounded path
 // walks. Any divergence — including the float near-tie class the design
-// documents — crashes the fuzzer with the offending topology in the corpus.
+// documents for Dist — crashes the fuzzer with the offending topology in the
+// corpus.
 func FuzzHierVsTable(f *testing.F) {
 	f.Add(uint8(8), uint8(24), int64(1))
 	f.Add(uint8(12), uint8(40), int64(7))
@@ -374,7 +340,6 @@ func FuzzHierVsTable(f *testing.F) {
 		g := randomGraph(t, nv, ne, seed)
 		tab := NewTable(g)
 		h := NewHier(g)
-		h.expandAfter = 1 << 30 // keep the CH path honest, no row fallback
 		n := g.NumEdges()
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {

@@ -222,7 +222,7 @@ func newCHBuilder(g *roadnet.Graph, opt HierOptions) *chBuilder {
 		}
 	}
 	b.origArcs = len(b.arcs)
-	b.witnessCap = resolveWitnessCap(opt.WitnessSettleCap, b.origArcs, n)
+	b.witnessCap = resolveWitnessCap(opt.witnessSettleCap, b.origArcs, n)
 	return b
 }
 

@@ -95,7 +95,7 @@ func TestResolveWitnessCap(t *testing.T) {
 // wrong answer.
 func TestHierTinyWitnessCapStillExact(t *testing.T) {
 	g := randomGraph(t, 18, 60, 5)
-	h := NewHierWith(g, HierOptions{WitnessSettleCap: 1})
+	h := NewHierWith(g, HierOptions{witnessSettleCap: 1})
 	if h.WitnessCap() != 1 {
 		t.Fatalf("WitnessCap() = %d, want 1", h.WitnessCap())
 	}
@@ -107,11 +107,9 @@ func TestHierTinyWitnessCapStillExact(t *testing.T) {
 func TestHierUnpackCache(t *testing.T) {
 	g := randomGraph(t, 25, 100, 31)
 	h := NewHierWith(g, HierOptions{})
-	h.expandAfter = 1 << 30 // keep queries on the CH path
-	bare := NewHierWith(g, HierOptions{UnpackCacheEntries: -1})
-	bare.expandAfter = 1 << 30
+	bare := NewHierWith(g, HierOptions{unpackCacheEntries: -1})
 	if bare.unpack != nil {
-		t.Fatal("UnpackCacheEntries=-1 did not disable the cache")
+		t.Fatal("unpackCacheEntries=-1 did not disable the cache")
 	}
 	n := g.NumEdges()
 	for pass := 0; pass < 2; pass++ {
@@ -168,43 +166,16 @@ func TestHierUnpackCacheEviction(t *testing.T) {
 	}
 }
 
-// The satellite fix: RowCacheBytes must account the exact-row LRU's arrays,
-// per-row bookkeeping and miss tally exactly, and MemoryBytes must include
-// it. Verified against manual accounting over the live rows.
-func TestHierRowCacheBytesExact(t *testing.T) {
-	g := randomGraph(t, 20, 70, 3)
-	h := NewHier(g)
-	if h.RowCacheBytes() != 0 {
-		t.Fatalf("empty row cache reports %d bytes", h.RowCacheBytes())
-	}
-	base := h.MemoryBytes()
-	rows := []*hierRow{h.expandRow(0), h.expandRow(3), h.expandRow(5)}
-	h.peekRow(7, true) // one miss-tally entry, no row
-	want := 0
-	for _, r := range rows {
-		want += cap(r.pred)*edgeIDBytes + sliceHeaderBytes
-		want += cap(r.dist)*float64Bytes + sliceHeaderBytes
-		want += hierRowOverhead
-	}
-	want += 1 * (edgeIDBytes + 8)
-	if got := h.RowCacheBytes(); got != want {
-		t.Fatalf("RowCacheBytes() = %d, want %d", got, want)
-	}
-	if got := h.MemoryBytes(); got != base+want {
-		t.Fatalf("MemoryBytes() = %d, want base %d + rows %d", got, base, want)
-	}
-}
-
 // The query-path mirror of wire's TestDecodeAllocFree: once warmed, the CH
 // fast path — pooled context, epoch-stamped arrays, unpack-cache hits —
-// must answer Dist and GapDist without a single heap allocation.
+// must answer Dist and GapDist, and the early-stopped search must answer
+// SPEnd, without a single heap allocation.
 func TestHierQueryAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode makes sync.Pool drop items at random; alloc counts are meaningless")
 	}
 	g := randomGraph(t, 25, 100, 77)
 	h := NewHier(g)
-	h.expandAfter = 1 << 30 // stay on the CH path; rows have their own test
 	n := g.NumEdges()
 	pairs := [][2]roadnet.EdgeID{}
 	for i := 0; i < 32; i++ {
@@ -216,6 +187,7 @@ func TestHierQueryAllocFree(t *testing.T) {
 		for _, p := range pairs {
 			h.Dist(p[0], p[1])
 			h.GapDist(p[0], p[1])
+			h.SPEnd(p[0], p[1])
 		}
 	}
 	query() // warm: pool a context, grow its buffers, populate the unpack cache
@@ -234,7 +206,6 @@ func TestHierQueryAllocFree(t *testing.T) {
 func BenchmarkHierQueryHot(b *testing.B) {
 	g := randomGraph(b, 40, 160, 2024)
 	h := NewHier(g)
-	h.expandAfter = 1 << 30
 	n := g.NumEdges()
 	pairs := make([][2]roadnet.EdgeID, 64)
 	for i := range pairs {
@@ -243,6 +214,7 @@ func BenchmarkHierQueryHot(b *testing.B) {
 	for _, p := range pairs { // warm pool, buffers and unpack cache
 		h.Dist(p[0], p[1])
 		h.GapDist(p[0], p[1])
+		h.SPEnd(p[0], p[1])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -250,6 +222,7 @@ func BenchmarkHierQueryHot(b *testing.B) {
 		p := pairs[i%len(pairs)]
 		h.Dist(p[0], p[1])
 		h.GapDist(p[0], p[1])
+		h.SPEnd(p[0], p[1])
 	}
 }
 

@@ -221,15 +221,6 @@ func (h *Hier) SaveSnapshot(path string) error {
 // (see EnsureValid). Damage surfaces as ErrBadSnapshot, a snapshot for a
 // different network as ErrSnapshotMismatch.
 func OpenHierMapped(path string, g *roadnet.Graph) (*Hier, error) {
-	return openHierMappedWith(path, g, HierOptions{})
-}
-
-// OpenHierMappedWith is OpenHierMapped with explicit serving options.
-func OpenHierMappedWith(path string, g *roadnet.Graph, opt HierOptions) (*Hier, error) {
-	return openHierMappedWith(path, g, opt)
-}
-
-func openHierMappedWith(path string, g *roadnet.Graph, opt HierOptions) (*Hier, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -261,7 +252,7 @@ func openHierMappedWith(path string, g *roadnet.Graph, opt HierOptions) (*Hier, 
 	madviseWillNeed(data)
 	h.unmap = unmap
 	h.mappedLen = len(data)
-	h.finish(opt)
+	h.finish(HierOptions{})
 	return h, nil
 }
 

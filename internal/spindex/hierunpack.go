@@ -2,13 +2,14 @@ package spindex
 
 // Query-side caches: the bounded LRU of unpacked shortcut expansions.
 //
-// Unpacking a shortcut is the recursive half of every Path/GapDist/SPEnd
-// answer — the bidirectional search itself settles a few dozen nodes, but a
-// long shortcut can expand to thousands of original arcs. Workloads are
-// skewed (fleets traverse the same arterials), so the same high-rank
-// shortcuts unpack over and over. The cache memoizes the expansion keyed by
-// arc id; entries are immutable copies, so hits append straight into the
-// caller's reused node buffer with zero allocations.
+// Unpacking a shortcut is the recursive half of every Dist/GapDist answer
+// (SPEnd and Path never touch the hierarchy) — the bidirectional search
+// itself settles a few dozen nodes, but a long shortcut can expand to
+// thousands of original arcs. Workloads are skewed (fleets traverse the same
+// arterials), so the same high-rank shortcuts unpack over and over. The
+// cache memoizes the expansion keyed by arc id; entries are immutable
+// copies, so hits append straight into the caller's reused node buffer with
+// zero allocations.
 //
 // Correctness is free: an expansion is a pure function of the (immutable)
 // arc sections, so a hit is byte-for-byte the recursion's output. The cache
@@ -38,7 +39,7 @@ type unpackEntry struct {
 }
 
 // unpackCache is a mutex-guarded LRU of shortcut expansions. A nil
-// *unpackCache (UnpackCacheEntries < 0) disables caching; every method is
+// *unpackCache (unpackCacheEntries < 0) disables caching; every method is
 // nil-receiver safe.
 type unpackCache struct {
 	mu    sync.Mutex
@@ -51,7 +52,7 @@ type unpackCache struct {
 	misses atomic.Uint64
 }
 
-// newUnpackCache sizes the cache from the HierOptions knob: 0 picks the
+// newUnpackCache sizes the cache from HierOptions.unpackCacheEntries: 0 picks the
 // default, negative disables (returns nil).
 func newUnpackCache(entries int) *unpackCache {
 	if entries < 0 {

@@ -58,9 +58,6 @@ func assertSPEqual(t *testing.T, want, got SP) {
 			if w, g := want.GapDist(src, dst), got.GapDist(src, dst); math.Float64bits(w) != math.Float64bits(g) {
 				t.Fatalf("GapDist(%d,%d) = %g want %g", a, b, g, w)
 			}
-			if w, g := want.Reachable(src, dst), got.Reachable(src, dst); w != g {
-				t.Fatalf("Reachable(%d,%d) = %v want %v", a, b, g, w)
-			}
 			wp, gp := want.Path(src, dst), got.Path(src, dst)
 			if len(wp) != len(gp) {
 				t.Fatalf("Path(%d,%d) len = %d want %d", a, b, len(gp), len(wp))

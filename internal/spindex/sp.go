@@ -7,21 +7,23 @@ import "press/internal/roadnet"
 // committing to where the all-pair answers come from. Two implementations
 // ship:
 //
-//   - *Hier is the one the system builds, persists, maps and serves: a
-//     contraction hierarchy over the line graph — O(|E| + shortcuts) memory
-//     and bidirectional upward searches — built on the heap by NewHier or
-//     memory-mapped read-only from a snapshot by OpenHierMapped, so N
-//     processes share one copy through the page cache;
+//   - *Hier is the one the system builds, persists, maps and serves. SPEnd
+//     and Path run dijkstraRow's loop from src and stop when dst settles;
+//     Dist and GapDist come from a contraction hierarchy over the line
+//     graph — O(|E| + shortcuts) memory and bidirectional upward searches —
+//     built on the heap by NewHier or memory-mapped read-only from a
+//     snapshot by OpenHierMapped, so N processes share one copy through the
+//     page cache;
 //   - *Table keeps the paper's all-pair rows on the Go heap, computed lazily
 //     (or bulk-materialized by PrecomputeAll*). It is the reference the
 //     hierarchy is tested against and the paper-preprocessing axis of the
-//     experiments, and its row Dijkstra (dijkstraRow) is the fallback Hier
-//     expands hot or degraded sources with.
+//     experiments.
 //
 // Both are safe for concurrent use and return identical answers for the same
-// graph (Hier's unpack-and-resum query reproduces Table's canonical
-// tie-breaking; see hier.go for the exact contract), so the choice never
-// changes compression output or query results.
+// graph (Hier's SPEnd and Path are Table's search stopped early, and its
+// unpack-and-resum Dist reproduces Table's float accumulation; see hier.go
+// for the exact contract), so the choice never changes compression output or
+// query results.
 type SP interface {
 	// SPEnd returns the edge right before dst on the canonical shortest
 	// path from src to dst, or NoEdge when dst is unreachable or src == dst.
@@ -36,8 +38,6 @@ type SP interface {
 	// Path reconstructs the canonical shortest path from src to dst,
 	// inclusive of both endpoints. Returns nil when unreachable.
 	Path(src, dst roadnet.EdgeID) []roadnet.EdgeID
-	// Reachable reports whether dst can be reached from src.
-	Reachable(src, dst roadnet.EdgeID) bool
 	// Graph returns the underlying road network.
 	Graph() *roadnet.Graph
 }

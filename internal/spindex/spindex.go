@@ -22,9 +22,10 @@
 // source the system serves: a contraction hierarchy over the same line graph
 // — O(|E| + shortcuts) memory instead of O(|E|²) — returning answers
 // identical to Table's, persisted as the PRSP snapshot (hiersnap.go) that
-// processes memory-map back without rebuilding. Table stays as the test
-// oracle, the paper-preprocessing axis of the experiments and, through
-// dijkstraRow, the fallback Hier expands rows with.
+// processes memory-map back without rebuilding. Its SPEnd and Path run
+// dijkstraRow's loop and stop when the destination settles, so they need no
+// rows at all. Table stays as the test oracle and the paper-preprocessing
+// axis of the experiments.
 package spindex
 
 import (
@@ -114,13 +115,13 @@ func (t *Table) computeRow(src roadnet.EdgeID) ([]roadnet.EdgeID, []float64) {
 	return dijkstraRow(t.g, src)
 }
 
-// dijkstraRow is the canonical line-graph Dijkstra every implementation
-// defers to: Table materializes rows with it, Hier uses it for the row LRU
-// and as the fallback that guarantees canonical answers. The relaxation
-// order (binary heap keyed by (dist, edge id)) and the tie-break rule
-// (smaller distance, then smaller predecessor id) define the single
-// canonical shortest path per pair; any alternative implementation must
-// reproduce its output bit for bit.
+// dijkstraRow is the canonical line-graph Dijkstra: Table materializes rows
+// with it, and Hier.settle runs the same loop, stopped when the destination
+// settles, for SPEnd and Path. The relaxation order (binary heap keyed by
+// (dist, edge id)) and the tie-break rule (smaller distance, then smaller
+// predecessor id) define the single canonical shortest path per pair; any
+// alternative implementation must reproduce its output bit for bit. It stays
+// a separate, independent oracle: the Hier tests compare against it.
 func dijkstraRow(g *roadnet.Graph, src roadnet.EdgeID) ([]roadnet.EdgeID, []float64) {
 	n := g.NumEdges()
 	dist := make([]float64, n)

@@ -304,21 +304,23 @@ func (s *System) SaveSPSnapshot(path string) error {
 func (s *System) Close() error { return s.sp.Close() }
 
 // SPStats describes the system's shortest-path source for capacity
-// accounting: heap bytes vs file-backed mapped bytes, and how many exact
-// rows the hierarchy's hot-source LRU holds on the heap.
+// accounting: heap bytes vs file-backed mapped bytes, and the hierarchy's
+// build and cache counters.
 type SPStats struct {
-	Kind        string // active implementation: always "hier"
-	Mapped      bool   // SP source is a memory-mapped snapshot
-	CachedRows  int    // exact rows materialized on the Go heap
-	HeapBytes   int    // estimated heap bytes of the source
-	MappedBytes int    // bytes served from the read-only mapping
+	Kind   string // active implementation: always "hier"
+	Mapped bool   // SP source is a memory-mapped snapshot
+	// Deprecated: always 0; Hier holds no rows.
+	CachedRows  int
+	HeapBytes   int // estimated heap bytes of the source
+	MappedBytes int // bytes served from the read-only mapping
 
-	BuildWorkers     int    // goroutines the contraction build ran on
-	WitnessSettleCap int    // resolved witness settle cap (knob or density-derived)
-	RowCacheBytes    int    // heap bytes of the hot-source exact-row LRU
-	UnpackHits       uint64 // unpack-cache hits since construction
-	UnpackMisses     uint64 // unpack-cache misses since construction
-	UnpackBytes      int    // heap bytes the unpack cache currently holds
+	BuildWorkers     int // goroutines the contraction build ran on
+	WitnessSettleCap int // resolved witness settle cap (density-derived)
+	// Deprecated: always 0; Hier holds no rows.
+	RowCacheBytes int
+	UnpackHits    uint64 // unpack-cache hits since construction
+	UnpackMisses  uint64 // unpack-cache misses since construction
+	UnpackBytes   int    // heap bytes the unpack cache currently holds
 }
 
 // SPStats reports the current shortest-path source accounting.
@@ -337,8 +339,8 @@ func (s *System) SPStats() SPStats {
 	}
 	return SPStats{
 		Kind: "hier", Mapped: h.Mapped(),
-		CachedRows: h.CachedRows(), HeapBytes: h.MemoryBytes(), MappedBytes: h.MappedBytes(),
-		BuildWorkers: workers, WitnessSettleCap: h.WitnessCap(), RowCacheBytes: h.RowCacheBytes(),
+		HeapBytes: h.MemoryBytes(), MappedBytes: h.MappedBytes(),
+		BuildWorkers: workers, WitnessSettleCap: h.WitnessCap(),
 		UnpackHits: uh, UnpackMisses: um, UnpackBytes: ub,
 	}
 }

@@ -58,12 +58,11 @@ curl -fs "$BASE/healthz" | grep -q '"status":"ok"'
 
 # Snapshot-boot invariant, before the first query: the daemon serves the
 # contraction hierarchy mapped from the file it just materialized (no build
-# at boot). Codebook training at boot already warms the hierarchy's
-# hot-source row LRU, so cached_rows is bounded by its 64-row cap, not 0.
+# at boot), and holds no Dijkstra rows — not even after codebook training.
 stats="$(curl -fs "$BASE/v1/stats")"
 echo "$stats" | grep -q '"kind":"hier"'
 echo "$stats" | grep -q '"mapped":true'
-echo "$stats" | grep -Eq '"cached_rows":([0-9]|[1-5][0-9]|6[0-4]),'
+echo "$stats" | grep -q '"cached_rows":0,'
 echo "$stats" | grep -q '"build_workers":[1-9]'
 echo "$stats" | grep -q '"unpack_hits"'
 
@@ -99,6 +98,10 @@ echo "$metrics" | grep -q '^# TYPE press_sp_unpack_cache_hits_total counter'
 echo "$metrics" | grep -q '^press_fleet_index_upserts_total [1-9]'
 if echo "$metrics" | grep -q 'press_fleet_index_rebuilds'; then
     echo "pressd still exposes a fleet index rebuild counter"; exit 1
+fi
+# The hierarchy holds no rows, so no row gauge is exported.
+if echo "$metrics" | grep -Eq 'press_sp_(cached_rows|row_cache_bytes)'; then
+    echo "pressd still exports a shortest-path row gauge"; exit 1
 fi
 
 drain "$tmp/pressd.log"
