@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzHierVsTable -fuzztime=$(FUZZTIME) ./internal/spindex
 	$(GO) test -fuzz=FuzzHierBuildDeterminism -fuzztime=$(FUZZTIME) ./internal/spindex
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -fuzz=FuzzOnlineCompressorEquivalence -fuzztime=$(FUZZTIME) ./internal/core
 
 # Allocation-regression gate: the binary wire frame decode must stay at
 # exactly 0 allocs/op or the ingest hot path has regressed.

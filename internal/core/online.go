@@ -13,14 +13,19 @@ import (
 // The paper notes (§7.2) that "the compression procedure scans the spatial
 // path and temporal sequence from head to tail without tracing back. This
 // means PRESS can be adapted to online compression." OnlineSP and OnlineBTC
-// are those adaptations: both consume one element at a time in O(1)
-// amortized work and emit retained elements as soon as they are final.
+// are those adaptations: both consume one element at a time and emit
+// retained elements as soon as they are final. OnlineBTC does O(1) work per
+// tuple. OnlineSP asks each SPend question of one search per anchor
+// (SP.From), resumed across the anchor's run; Park releases that search and
+// the next Push reopens it from the anchor, so a stream parked between
+// frames pays one search per frame, not one per edge.
 
 // OnlineSP is the streaming form of Algorithm 1: push edges as the vehicle
 // traverses them; retained edges are emitted as soon as the shortest-path
 // window breaks. Flush emits the final edge.
 type OnlineSP struct {
 	sp     spindex.SP
+	search spindex.Search // open search from anchor; nil when parked
 	anchor roadnet.EdgeID
 	prev   roadnet.EdgeID
 	n      int
@@ -43,24 +48,41 @@ func (o *OnlineSP) Push(e roadnet.EdgeID) {
 	case 2:
 		o.prev = e
 	default:
-		if o.sp.SPEnd(o.anchor, e) != o.prev {
+		if o.search == nil {
+			o.search = o.sp.From(o.anchor)
+		}
+		if o.search.SPEnd(e) != o.prev {
 			o.emit(o.prev)
 			o.anchor = o.prev
+			o.Park()
 		}
 		o.prev = e
 	}
 }
 
-// Flush emits the trailing edge. The stream may continue afterwards only
-// after a Reset.
+// Park releases the open search, if any; the next Push reopens it from the
+// anchor. Output is the same wherever Park is called, so a caller holding
+// many idle compressors parks each after its pushes and none keeps search
+// scratch while idle.
+func (o *OnlineSP) Park() {
+	if o.search != nil {
+		o.search.Close()
+		o.search = nil
+	}
+}
+
+// Flush emits the trailing edge and parks. The stream may continue
+// afterwards only after a Reset.
 func (o *OnlineSP) Flush() {
+	o.Park()
 	if o.n >= 2 {
 		o.emit(o.prev)
 	}
 }
 
-// Reset prepares the compressor for a new trajectory.
+// Reset parks and prepares the compressor for a new trajectory.
 func (o *OnlineSP) Reset() {
+	o.Park()
 	o.anchor, o.prev, o.n = roadnet.NoEdge, roadnet.NoEdge, 0
 }
 
@@ -263,6 +285,10 @@ func (o *OnlineCompressor) Flush() (*Compressed, error) {
 	o.Reset()
 	return ct, nil
 }
+
+// Park releases the spatial stream's open search (see OnlineSP.Park)
+// without changing the output. Flush and Reset park too.
+func (o *OnlineCompressor) Park() { o.sp.Park() }
 
 // Reset discards any in-flight state and prepares for a new trajectory.
 func (o *OnlineCompressor) Reset() {

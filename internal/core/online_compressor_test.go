@@ -159,15 +159,16 @@ func TestOnlineCompressorFlushErrorResets(t *testing.T) {
 	}
 }
 
-// fuzzEnv builds the shared grid compressor once; fuzzing mutates only the
-// trajectory, not the static structures.
+// fuzzEnv builds the shared grid compressors once — one over the oracle
+// Table, one over the Hier the system serves, sharing one codebook; fuzzing
+// mutates only the trajectory, not the static structures.
 var fuzzEnv struct {
 	once sync.Once
-	c    *Compressor
+	cs   []*Compressor
 	err  error
 }
 
-func fuzzCompressor() (*Compressor, error) {
+func fuzzCompressors() ([]*Compressor, error) {
 	fuzzEnv.once.Do(func() {
 		g, err := roadnet.Grid(5, 5, 100)
 		if err != nil {
@@ -185,26 +186,36 @@ func fuzzCompressor() (*Compressor, error) {
 			fuzzEnv.err = err
 			return
 		}
-		fuzzEnv.c, fuzzEnv.err = NewCompressor(g, tab, cb, 50, 30)
+		for _, sp := range []spindex.SP{tab, spindex.NewHier(g)} {
+			c, err := NewCompressor(g, sp, cb, 50, 30)
+			if err != nil {
+				fuzzEnv.err = err
+				return
+			}
+			fuzzEnv.cs = append(fuzzEnv.cs, c)
+		}
 	})
-	return fuzzEnv.c, fuzzEnv.err
+	return fuzzEnv.cs, fuzzEnv.err
 }
 
 // FuzzOnlineCompressorEquivalence derives a random but valid trajectory from
 // the fuzz input and asserts the streaming record is byte-identical to the
-// batch record.
+// batch record, on the Table and on the Hier. The compressor is parked after
+// the edges parkMask picks (bit i%64 for the i-th edge), as a session is at
+// every frame boundary.
 func FuzzOnlineCompressorEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(3))
-	f.Add(int64(42), uint8(1), uint8(1))
-	f.Add(int64(-7), uint8(60), uint8(40))
-	f.Fuzz(func(t *testing.T, seed int64, pathLen, tempLen uint8) {
-		c, err := fuzzCompressor()
+	f.Add(int64(1), uint8(5), uint8(3), uint64(0))
+	f.Add(int64(42), uint8(1), uint8(1), uint64(1))
+	f.Add(int64(-7), uint8(60), uint8(40), uint64(0x5a5a_0f0f_3c3c_9999))
+	f.Fuzz(func(t *testing.T, seed int64, pathLen, tempLen uint8, parkMask uint64) {
+		cs, err := fuzzCompressors()
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := cs[0].Graph
 		rng := rand.New(rand.NewSource(seed))
-		path := randomWalk(c.Graph, rng, int(pathLen%64)+1)
-		total := c.Graph.PathLength(path)
+		path := randomWalk(g, rng, int(pathLen%64)+1)
+		total := g.PathLength(path)
 		n := int(tempLen%64) + 1
 		ts := make(traj.Temporal, 0, n)
 		d, tm := 0.0, 0.0
@@ -219,21 +230,38 @@ func FuzzOnlineCompressorEquivalence(f *testing.F) {
 			}
 		}
 		tr := &traj.Trajectory{Path: path, Temporal: ts}
-		want, err := c.Compress(tr)
+		want, err := cs[0].Compress(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := NewOnlineCompressor(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := streamThrough(o, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Marshal(), want.Marshal()) {
-			t.Fatalf("seed=%d pathLen=%d tempLen=%d: online bytes differ from batch",
-				seed, pathLen, tempLen)
+		for _, c := range cs {
+			if b, err := c.Compress(tr); err != nil || !bytes.Equal(b.Marshal(), want.Marshal()) {
+				t.Fatalf("seed=%d: batch bytes differ across SP sources (err %v)", seed, err)
+			}
+			o, err := NewOnlineCompressor(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges := 0
+			_ = tr.Replay(
+				func(e roadnet.EdgeID) error {
+					o.PushEdge(e)
+					if parkMask&(1<<(edges%64)) != 0 {
+						o.Park()
+					}
+					edges++
+					return nil
+				},
+				func(p traj.Entry) error { o.PushSample(p); return nil },
+			)
+			got, err := o.Flush()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Marshal(), want.Marshal()) {
+				t.Fatalf("seed=%d pathLen=%d tempLen=%d parkMask=%#x: online bytes differ from batch on %T",
+					seed, pathLen, tempLen, parkMask, c.SP)
+			}
 		}
 	})
 }

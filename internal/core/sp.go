@@ -15,7 +15,9 @@ import (
 // SPCompress is Algorithm 1: greedy shortest-path compression. A maximal run
 // of edges that exactly follows the canonical shortest path between its two
 // endpoints is replaced by those endpoints. The greedy strategy is optimal
-// (Theorem 1). The input must be a connected edge path.
+// (Theorem 1). The input must be a connected edge path. Each anchor's
+// SPend questions go to one search from it (SP.From), resumed as the run
+// grows instead of restarted per edge.
 func SPCompress(t spindex.SP, path traj.Path) traj.Path {
 	n := len(path)
 	if n <= 2 {
@@ -23,13 +25,15 @@ func SPCompress(t spindex.SP, path traj.Path) traj.Path {
 	}
 	out := make(traj.Path, 0, 4)
 	out = append(out, path[0])
-	anchor := path[0]
+	s := t.From(path[0])
 	for i := 1; i <= n-2; i++ {
-		if t.SPEnd(anchor, path[i+1]) != path[i] {
+		if s.SPEnd(path[i+1]) != path[i] {
 			out = append(out, path[i])
-			anchor = path[i]
+			s.Close()
+			s = t.From(path[i])
 		}
 	}
+	s.Close()
 	return append(out, path[n-1])
 }
 

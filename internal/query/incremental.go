@@ -26,10 +26,10 @@ const DefaultBucketSeconds = 3600
 // stream flush calls, so a vehicle is queryable the moment its flush
 // returns, with no rebuild and no store scan. Queries prune in two stages
 // before any payload work: the bucket walk skips whole buckets outside the
-// time window (and, for range, outside the query rectangle), then
-// per-entry summaries reject candidates individually; only survivors are
-// verified exactly through the View (which decompresses at most once per
-// candidate, cached).
+// time window, then per-entry summaries (time interval, then the summary
+// MBR against the query rectangle or point) reject candidates
+// individually; only survivors are verified exactly through the View
+// (which decompresses at most once per candidate, cached).
 //
 // Latency is governed by the number of summaries overlapping the query
 // window, not by total stored history: growing a store 100x by appending
@@ -215,9 +215,9 @@ func (ix *IncrementalFleetIndex) Len() int {
 }
 
 // candidatesFor walks the buckets overlapping [t1, t2], pruning whole
-// buckets first (time, then the bucket MBR via keep), then individual
-// summaries: entries failing their summary check are rejected without any
-// payload work.
+// buckets by their time bounds only, then individual summaries: entries
+// failing the time overlap or keep are rejected without any payload work.
+// The bucket MBR is maintained but not consulted here.
 func (ix *IncrementalFleetIndex) candidatesFor(t1, t2 float64, keep func(*core.BoundingSummary) bool) []uint64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

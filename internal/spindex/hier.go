@@ -10,6 +10,8 @@ package spindex
 // and stop as soon as dst is popped. dijkstraRow never relaxes a settled
 // node, so at that pop pred[dst] and the whole predecessor chain are final:
 // the answers are Table's by construction, for every graph, ties included.
+// From keeps that search alive and resumes it for each next destination, so
+// Algorithm 1's run of SPend questions from one anchor costs one search.
 //
 // Dist and GapDist come from the CH. Construction contracts nodes in a
 // heuristic importance order, inserting a shortcut u→w for a contracted node
@@ -226,6 +228,10 @@ func (h *Hier) bwdArcAt(i uint32) int32 {
 // hierCtx holds one query's scratch state: epoch-stamped distance/parent
 // arrays (no clearing between queries) and reusable heaps and unpack
 // buffers, pooled so concurrent queries allocate nothing steady-state.
+//
+// A hierCtx is also the Search that From hands out: h is the hierarchy it
+// searches, and pend is the node that stopped the last advance, settled but
+// not yet relaxed (-1 when none).
 type hierCtx struct {
 	df, db []float64
 	pf, pb []int32
@@ -235,6 +241,9 @@ type hierCtx struct {
 	chain  []int32
 	stack  []int32
 	nodes  []roadnet.EdgeID
+
+	h    *Hier
+	pend int32
 }
 
 func (h *Hier) getCtx() *hierCtx {
@@ -447,39 +456,72 @@ func (h *Hier) chDist(ctx *hierCtx, src, dst roadnet.EdgeID) float64 {
 
 // --- Early-stopped line-graph Dijkstra --------------------------------------
 
-// settle runs dijkstraRow's loop from src in ctx's scratch — forward stamps
-// mark a tentative dist/pred, backward stamps mark settled nodes — and stops
-// when dst is popped. It reports whether dst was reached. dijkstraRow never
+// settle runs dijkstraRow's loop from src in ctx's scratch and stops when
+// dst is popped. It reports whether dst was reached. dijkstraRow never
 // relaxes a settled node, so at that pop ctx.df[dst], ctx.pf[dst] and the
 // whole predecessor chain behind it are final and equal Table's row.
 func (h *Hier) settle(ctx *hierCtx, src, dst roadnet.EdgeID) bool {
+	h.start(ctx, src)
+	return h.advance(ctx, dst)
+}
+
+// start opens a new search from src in ctx's scratch — forward stamps mark
+// a tentative dist/pred, backward stamps mark settled nodes.
+func (h *Hier) start(ctx *hierCtx, src roadnet.EdgeID) {
 	ctx.nextEpoch()
-	q := &ctx.hf
-	q.reset()
+	ctx.hf.reset()
 	ctx.setF(int32(src), 0, int32(roadnet.NoEdge))
-	q.push(0, int32(src))
-	for q.len() > 0 {
-		d, v := q.pop()
-		if ctx.hasB(v) {
-			continue
+	ctx.hf.push(0, int32(src))
+	ctx.pend = -1
+}
+
+// advance resumes ctx's search until dst is settled and reports whether it
+// was reached. dijkstraRow pops nodes in the same order whatever node it
+// stops at, so a search advanced to several destinations in turn settles
+// exactly what one uninterrupted run would. Each turn of the loop relaxes
+// the node it holds — at ctx.df[v], which is the distance v was popped at —
+// and pops the next; the node that stops the search is kept in ctx.pend and
+// relaxed first when the search resumes, so a Path or SPEnd that never
+// resumes pays nothing for it.
+func (h *Hier) advance(ctx *hierCtx, dst roadnet.EdgeID) bool {
+	if dst < 0 || int(dst) >= h.n {
+		return false // no such node: the whole search would never pop it
+	}
+	if ctx.hasB(int32(dst)) {
+		return true
+	}
+	q := &ctx.hf
+	v := ctx.pend
+	for {
+		if v >= 0 {
+			d := ctx.df[v]
+			for _, next := range h.g.Out(h.g.Edge(roadnet.EdgeID(v)).To) {
+				w := int32(next)
+				if ctx.hasB(w) {
+					continue
+				}
+				nd := d + h.g.Edge(next).Weight
+				if !ctx.hasF(w) || nd < ctx.df[w] || (nd == ctx.df[w] && v < ctx.pf[w]) {
+					ctx.setF(w, nd, v)
+					q.push(nd, w)
+				}
+			}
+		}
+		for { // pop the next unsettled node; entries of settled ones are stale
+			if q.len() == 0 {
+				ctx.pend = -1
+				return false
+			}
+			if _, v = q.pop(); !ctx.hasB(v) {
+				break
+			}
 		}
 		ctx.sb[v] = ctx.epoch
 		if v == int32(dst) {
+			ctx.pend = v
 			return true
 		}
-		for _, next := range h.g.Out(h.g.Edge(roadnet.EdgeID(v)).To) {
-			w := int32(next)
-			if ctx.hasB(w) {
-				continue
-			}
-			nd := d + h.g.Edge(next).Weight
-			if !ctx.hasF(w) || nd < ctx.df[w] || (nd == ctx.df[w] && v < ctx.pf[w]) {
-				ctx.setF(w, nd, v)
-				q.push(nd, w)
-			}
-		}
 	}
-	return false
 }
 
 // CachedRows reports how many Dijkstra rows the hierarchy holds.
@@ -539,6 +581,30 @@ func (h *Hier) SPEnd(src, dst roadnet.EdgeID) roadnet.EdgeID {
 	}
 	return roadnet.EdgeID(ctx.pf[dst])
 }
+
+// From opens a search from src that answers SPEnd(src, dst) for any number
+// of destinations, resuming one early-stopped Dijkstra instead of starting
+// a fresh one per call: each answer equals SPEnd(src, dst). It holds a
+// pooled scratch context (about 32 bytes per edge) until Close. A warm
+// From, SPEnd, Close sequence allocates nothing.
+func (h *Hier) From(src roadnet.EdgeID) Search {
+	ctx := h.getCtx()
+	ctx.h = h
+	h.start(ctx, src)
+	return ctx
+}
+
+// SPEnd answers SPEnd(src, dst) for the search's source, advancing the
+// search only as far as dst.
+func (c *hierCtx) SPEnd(dst roadnet.EdgeID) roadnet.EdgeID {
+	if !c.h.advance(c, dst) {
+		return roadnet.NoEdge
+	}
+	return roadnet.EdgeID(c.pf[dst])
+}
+
+// Close returns the search's scratch to the pool.
+func (c *hierCtx) Close() { c.h.putCtx(c) }
 
 // Dist returns the shortest-path distance from src to dst under the same
 // convention — and the same float accumulation — as Table.Dist.

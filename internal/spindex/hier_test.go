@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -299,9 +300,18 @@ func TestHierConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// One search held open across the whole loop, beside the
+			// one-shot queries drawing on the same pool.
+			src := roadnet.EdgeID(w % n)
+			s := h.From(src)
+			defer s.Close()
 			for i := 0; i < 400; i++ {
 				a := roadnet.EdgeID((i*7 + w*13) % n)
 				b := roadnet.EdgeID((i*11 + w*3) % n)
+				if got, want := s.SPEnd(b), tab.SPEnd(src, b); got != want {
+					errc <- errors.New("concurrent From mismatch")
+					return
+				}
 				if got, want := h.Dist(a, b), tab.Dist(a, b); math.Float64bits(got) != math.Float64bits(want) {
 					errc <- errors.New("concurrent Dist mismatch")
 					return
@@ -325,19 +335,96 @@ func TestHierConcurrentQueries(t *testing.T) {
 	}
 }
 
+// withDeadEnds returns g plus two one-way spurs off vertex 0: a dead-end
+// edge 0→x, from which no other edge is reachable, and an edge y→0 that no
+// other edge reaches. The ring randomGraph builds is strongly connected, so
+// these spurs are what give its searches unreachable destinations.
+func withDeadEnds(t testing.TB, g *roadnet.Graph) *roadnet.Graph {
+	t.Helper()
+	vs := slices.Clone(g.Vertices)
+	es := slices.Clone(g.Edges)
+	x, y := roadnet.VertexID(len(vs)), roadnet.VertexID(len(vs)+1)
+	vs = append(vs, roadnet.Vertex{ID: x, Pos: vs[0].Pos}, roadnet.Vertex{ID: y, Pos: vs[0].Pos})
+	es = append(es,
+		roadnet.Edge{ID: roadnet.EdgeID(len(es)), From: 0, To: x, Weight: 2},
+		roadnet.Edge{ID: roadnet.EdgeID(len(es) + 1), From: y, To: 0, Weight: 3})
+	out, err := roadnet.NewGraph(vs, es)
+	if err != nil {
+		t.Fatalf("NewGraph: %v", err)
+	}
+	return out
+}
+
+// checkSearchesMatchTable opens one h.From(src) and one tab.From(src) per
+// source and asks both for a destination sequence: order's bytes (mod |E|),
+// then every edge in a seeded shuffle (src itself and, on a graph with dead
+// ends, unreachable edges among them), then order's bytes again, all
+// already settled by then. Every answer must equal tab.SPEnd(src, dst).
+func checkSearchesMatchTable(t *testing.T, tab *Table, h *Hier, order []byte, seed int64) {
+	t.Helper()
+	n := tab.Graph().NumEdges()
+	rng := rand.New(rand.NewSource(seed))
+	var seq []roadnet.EdgeID
+	for _, b := range order {
+		seq = append(seq, roadnet.EdgeID(int(b)%n))
+	}
+	for _, e := range rng.Perm(n) {
+		seq = append(seq, roadnet.EdgeID(e))
+	}
+	seq = append(seq, seq[:len(order)]...)
+	for a := 0; a < n; a++ {
+		src := roadnet.EdgeID(a)
+		hs, ts := h.From(src), tab.From(src)
+		for i, dst := range seq {
+			want := tab.SPEnd(src, dst)
+			if got := hs.SPEnd(dst); got != want {
+				t.Fatalf("Hier.From(%d).SPEnd(%d) = %d at step %d, table %d", a, dst, got, i, want)
+			}
+			if got := ts.SPEnd(dst); got != want {
+				t.Fatalf("Table.From(%d).SPEnd(%d) = %d at step %d, table %d", a, dst, got, i, want)
+			}
+		}
+		hs.Close()
+		ts.Close()
+	}
+}
+
+// A search resumed across destinations in any order answers exactly as one
+// SPEnd per destination does, on graphs with unreachable edges too.
+func TestHierFromMatchesTable(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nv := 3 + rng.Intn(20)
+		g := randomGraph(t, nv, nv+rng.Intn(3*nv), seed)
+		if seed%2 == 0 {
+			g = withDeadEnds(t, g)
+		}
+		order := make([]byte, rng.Intn(24))
+		rng.Read(order)
+		checkSearchesMatchTable(t, NewTable(g), NewHier(g), order, seed)
+	}
+}
+
 // FuzzHierVsTable cross-checks the hierarchy against the all-pairs table on
-// fuzzer-chosen graph shapes: full Dist/SPEnd equality plus bounded path
-// walks. Any divergence — including the float near-tie class the design
-// documents for Dist — crashes the fuzzer with the offending topology in the
-// corpus.
+// fuzzer-chosen graph shapes: full Dist/SPEnd equality, bounded path walks,
+// and one resumed search per source asked about destinations in an order
+// the fuzzer chooses. Any divergence — including the float near-tie class
+// the design documents for Dist — crashes the fuzzer with the offending
+// topology in the corpus.
 func FuzzHierVsTable(f *testing.F) {
-	f.Add(uint8(8), uint8(24), int64(1))
-	f.Add(uint8(12), uint8(40), int64(7))
-	f.Add(uint8(5), uint8(5), int64(99))
-	f.Fuzz(func(t *testing.T, nvRaw, neRaw uint8, seed int64) {
+	f.Add(uint8(8), uint8(24), int64(1), false, []byte{3, 3, 0, 17})
+	f.Add(uint8(12), uint8(40), int64(7), true, []byte{9, 1, 40, 2, 2})
+	f.Add(uint8(5), uint8(5), int64(99), true, []byte{})
+	f.Fuzz(func(t *testing.T, nvRaw, neRaw uint8, seed int64, deadEnds bool, order []byte) {
 		nv := 3 + int(nvRaw)%22      // 3..24 vertices
 		ne := nv + int(neRaw)%(3*nv) // ring + up to 3·nv chords
 		g := randomGraph(t, nv, ne, seed)
+		if deadEnds {
+			g = withDeadEnds(t, g)
+		}
+		if len(order) > 64 {
+			order = order[:64]
+		}
 		tab := NewTable(g)
 		h := NewHier(g)
 		n := g.NumEdges()
@@ -364,5 +451,6 @@ func FuzzHierVsTable(f *testing.F) {
 				}
 			}
 		}
+		checkSearchesMatchTable(t, tab, h, order, seed)
 	})
 }

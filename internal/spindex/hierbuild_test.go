@@ -169,7 +169,7 @@ func TestHierUnpackCacheEviction(t *testing.T) {
 // The query-path mirror of wire's TestDecodeAllocFree: once warmed, the CH
 // fast path — pooled context, epoch-stamped arrays, unpack-cache hits —
 // must answer Dist and GapDist, and the early-stopped search must answer
-// SPEnd, without a single heap allocation.
+// SPEnd and a From, SPEnd, Close sequence, without a single heap allocation.
 func TestHierQueryAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode makes sync.Pool drop items at random; alloc counts are meaningless")
@@ -188,6 +188,9 @@ func TestHierQueryAllocFree(t *testing.T) {
 			h.Dist(p[0], p[1])
 			h.GapDist(p[0], p[1])
 			h.SPEnd(p[0], p[1])
+			s := h.From(p[0])
+			s.SPEnd(p[1])
+			s.Close()
 		}
 	}
 	query() // warm: pool a context, grow its buffers, populate the unpack cache
@@ -211,18 +214,21 @@ func BenchmarkHierQueryHot(b *testing.B) {
 	for i := range pairs {
 		pairs[i] = [2]roadnet.EdgeID{roadnet.EdgeID((i * 31) % n), roadnet.EdgeID((i*17 + 9) % n)}
 	}
-	for _, p := range pairs { // warm pool, buffers and unpack cache
+	query := func(p [2]roadnet.EdgeID) {
 		h.Dist(p[0], p[1])
 		h.GapDist(p[0], p[1])
 		h.SPEnd(p[0], p[1])
+		s := h.From(p[0])
+		s.SPEnd(p[1])
+		s.Close()
+	}
+	for _, p := range pairs { // warm pool, buffers and unpack cache
+		query(p)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		h.Dist(p[0], p[1])
-		h.GapDist(p[0], p[1])
-		h.SPEnd(p[0], p[1])
+		query(pairs[i%len(pairs)])
 	}
 }
 

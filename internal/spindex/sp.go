@@ -19,6 +19,10 @@ import "press/internal/roadnet"
 //     hierarchy is tested against and the paper-preprocessing axis of the
 //     experiments.
 //
+// Hier.From resumes one early-stopped search as its destinations move
+// outward, so a run of SPEnd questions from one anchor costs one search,
+// not one per question; Table.From hands out the source's row.
+//
 // Both are safe for concurrent use and return identical answers for the same
 // graph (Hier's SPEnd and Path are Table's search stopped early, and its
 // unpack-and-resum Dist reproduces Table's float accumulation; see hier.go
@@ -28,6 +32,10 @@ type SP interface {
 	// SPEnd returns the edge right before dst on the canonical shortest
 	// path from src to dst, or NoEdge when dst is unreachable or src == dst.
 	SPEnd(src, dst roadnet.EdgeID) roadnet.EdgeID
+	// From opens a search that answers SPEnd(src, ·) for many destinations
+	// in turn: Algorithm 1's fixed anchor asked about each next edge. The
+	// caller must Close it.
+	From(src roadnet.EdgeID) Search
 	// Dist returns the shortest-path distance from src to dst, accumulated
 	// over every edge of the path except src itself (0 when src == dst,
 	// +Inf when unreachable).
@@ -42,8 +50,21 @@ type SP interface {
 	Graph() *roadnet.Graph
 }
 
+// Search answers SPEnd from one fixed source. Every answer equals
+// SP.SPEnd(src, dst), whatever order the destinations come in. A Search is
+// not safe for concurrent use and must not be used after Close.
+type Search interface {
+	// SPEnd returns SPEnd(src, dst) for the search's source src.
+	SPEnd(dst roadnet.EdgeID) roadnet.EdgeID
+	// Close releases the search's scratch.
+	Close()
+}
+
 // Compile-time checks: every implementation satisfies the contract.
 var (
 	_ SP = (*Table)(nil)
 	_ SP = (*Hier)(nil)
+
+	_ Search = (*hierCtx)(nil)
+	_ Search = tableRow(nil)
 )

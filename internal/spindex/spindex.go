@@ -24,8 +24,9 @@
 // identical to Table's, persisted as the PRSP snapshot (hiersnap.go) that
 // processes memory-map back without rebuilding. Its SPEnd and Path run
 // dijkstraRow's loop and stop when the destination settles, so they need no
-// rows at all. Table stays as the test oracle and the paper-preprocessing
-// axis of the experiments.
+// rows at all; its From resumes that loop for each next destination. Table
+// stays as the test oracle and the paper-preprocessing axis of the
+// experiments.
 package spindex
 
 import (
@@ -161,6 +162,19 @@ func (t *Table) SPEnd(src, dst roadnet.EdgeID) roadnet.EdgeID {
 	p, _ := t.row(src)
 	return p[dst]
 }
+
+// From returns src's row as a Search.
+func (t *Table) From(src roadnet.EdgeID) Search {
+	p, _ := t.row(src)
+	return tableRow(p)
+}
+
+// tableRow is one materialized pred row answering as a Search.
+type tableRow []roadnet.EdgeID
+
+func (r tableRow) SPEnd(dst roadnet.EdgeID) roadnet.EdgeID { return r[dst] }
+
+func (tableRow) Close() {}
 
 // Dist returns the shortest-path distance from src to dst, accumulated over
 // every edge of the path except src itself (0 when src == dst, +Inf when

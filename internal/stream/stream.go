@@ -5,11 +5,13 @@
 // A Manager keys live sessions by trajectory id. Each session owns one
 // core.OnlineCompressor, so a vehicle's edges and (d, t) samples are
 // compressed the moment their windows close, with memory proportional to
-// the retained (compressed) elements only. Flushing a session — explicitly
-// (Flush, end of trip), in bulk (FlushAll), or automatically after
-// IdleFlush without a push (a vehicle that went dark) — FST-encodes the
-// retained path and appends the finished record to the Sink keyed by the
-// session id; a store.ShardedStore makes that append safe and parallel
+// the retained (compressed) elements only; every push parks the compressor
+// before it releases the session (core.OnlineCompressor.Park), so an idle
+// session holds no shortest-path search scratch. Flushing a session —
+// explicitly (Flush, end of trip), in bulk (FlushAll), or automatically
+// after IdleFlush without a push (a vehicle that went dark) — FST-encodes
+// the retained path and appends the finished record to the Sink keyed by
+// the session id; a store.ShardedStore makes that append safe and parallel
 // across vehicles.
 //
 // Cancellation follows the pipeline's semantics: the context given to
@@ -227,6 +229,7 @@ func (m *Manager) withSession(id uint64, fn func(*session)) error {
 			continue
 		}
 		fn(s)
+		s.oc.Park() // an idle session holds no search scratch
 		s.at = time.Now()
 		if max := m.opt.MaxSessionBytes; max > 0 && s.oc.MemoryBytes() > max {
 			// Force-flush under the held lock: the record includes the
@@ -341,6 +344,7 @@ func (m *Manager) PushBatch(id uint64, obs []Obs) (int, error) {
 				return i + 1, ErrSessionTooLarge
 			}
 		}
+		s.oc.Park() // an idle session holds no search scratch
 		s.at = time.Now()
 		s.mu.Unlock()
 		m.pushes.Add(uint64(len(obs)))

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1047,5 +1049,150 @@ func TestCheckpointDeadlineLeavesSessionsOpen(t *testing.T) {
 	}
 	if _, err := m.Checkpoint(context.Background()); !errors.Is(err, ErrManagerClosed) {
 		t.Fatalf("Checkpoint after Close = %v, want ErrManagerClosed", err)
+	}
+}
+
+// openSP wraps an SP and counts the searches open on it: From adds one,
+// Close takes one away. opened counts every From, so a test can tell that
+// searches were used at all.
+type openSP struct {
+	spindex.SP
+	open, opened atomic.Int64
+}
+
+func (o *openSP) From(src roadnet.EdgeID) spindex.Search {
+	o.open.Add(1)
+	o.opened.Add(1)
+	return openSearch{o.SP.From(src), o}
+}
+
+type openSearch struct {
+	spindex.Search
+	sp *openSP
+}
+
+func (s openSearch) Close() {
+	s.Search.Close()
+	s.sp.open.Add(-1)
+}
+
+// pushObs feeds one observation through the per-point methods: PushEdge
+// for an edge, Push with NoEdge for a sample.
+func pushObs(m *Manager, id uint64, o Obs) error {
+	if !o.HasSample {
+		return m.PushEdge(id, o.Edge)
+	}
+	return m.Push(id, roadnet.NoEdge, o.Sample)
+}
+
+// No session holds a search between pushes: after every PushBatch, Push,
+// forced cap flush and Flush returns, no search is open. Parking changes no
+// output: a trip pushed in random chunk sizes, one point at a time, or as
+// one batch stores the same record bytes as batch compression.
+func TestSessionsHoldNoSearch(t *testing.T) {
+	base, ds, st := fixture(t)
+	sp := &openSP{SP: spindex.NewHier(base.Graph)}
+	comp, err := core.NewCompressor(base.Graph, sp, base.CB, 50, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := func(when string) {
+		t.Helper()
+		if n := sp.open.Load(); n != 0 {
+			t.Fatalf("%d searches open after %s", n, when)
+		}
+	}
+	m, err := NewManager(context.Background(), comp, st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	rng := rand.New(rand.NewSource(5))
+	for i, tr := range ds.Truth {
+		chunkID, oneID, pointID := uint64(3*i), uint64(3*i+1), uint64(3*i+2)
+		obs := obsStream(tr)
+		for rest := obs; len(rest) > 0; {
+			k := 1 + rng.Intn(min(len(rest), 12))
+			if _, err := m.PushBatch(chunkID, rest[:k]); err != nil {
+				t.Fatal(err)
+			}
+			idle("PushBatch")
+			rest = rest[k:]
+		}
+		if _, err := m.PushBatch(oneID, obs); err != nil {
+			t.Fatal(err)
+		}
+		idle("PushBatch")
+		for _, o := range obs {
+			if err := pushObs(m, pointID, o); err != nil {
+				t.Fatal(err)
+			}
+			idle("Push")
+		}
+		want, err := comp.Compress(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []uint64{chunkID, oneID, pointID} {
+			if err := m.Flush(id); err != nil {
+				t.Fatal(err)
+			}
+			idle("Flush")
+			got, err := st.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Marshal(), want.Marshal()) {
+				t.Fatalf("trajectory %d, vehicle %d: record differs from batch", i, id)
+			}
+		}
+	}
+
+	// Forced cap flushes, on the batched and the per-point path.
+	strict, err := core.NewCompressor(base.Graph, sp, base.CB, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, err := NewManager(context.Background(), strict, st, Options{MaxSessionBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer capped.Close()
+	tr := ds.Truth[0]
+	for _, cand := range ds.Truth {
+		if len(cand.Path) > len(tr.Path) {
+			tr = cand
+		}
+	}
+	breaches := 0
+	for rest := obsStream(tr); len(rest) > 0; {
+		k := 1 + rng.Intn(min(len(rest), 40))
+		n, err := capped.PushBatch(1000, rest[:k])
+		idle("PushBatch")
+		if errors.Is(err, ErrSessionTooLarge) {
+			breaches++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		rest = rest[n:]
+	}
+	for _, o := range obsStream(tr) {
+		err := pushObs(capped, 1001, o)
+		idle("Push")
+		if errors.Is(err, ErrSessionTooLarge) {
+			breaches++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if breaches < 2 {
+		t.Fatalf("%d cap breaches, want one on each path at least", breaches)
+	}
+	if err := capped.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	idle("FlushAll")
+	if sp.opened.Load() == 0 {
+		t.Fatal("no search was ever opened")
 	}
 }
