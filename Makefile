@@ -41,17 +41,17 @@ benchtest:
 serve:
 	$(GO) run ./cmd/pressgen -out /tmp/press-demo -trips 120
 	$(GO) run ./cmd/pressd -net /tmp/press-demo/network.txt \
-		-train /tmp/press-demo/trips.txt -snapshot /tmp/press-demo/sp.snap \
-		-init -store /tmp/press-demo/fleet -addr 127.0.0.1:8321
+		-train /tmp/press-demo/trips.txt -store /tmp/press-demo/fleet \
+		-addr 127.0.0.1:8321
 
-# End-to-end daemon smoke: boot pressd against a temp snapshot+store, curl
+# End-to-end daemon smoke: boot pressd against a temp store, curl
 # /healthz plus one ingest+query round-trip, SIGTERM, assert clean exit.
 smoke:
 	./scripts/pressd_smoke.sh
 
-# Cluster smoke: two pressd nodes + the pressr router over one shared
-# snapshot — routed ingest, 421 misroutes, fleet scatter-gather, and the
-# 206 partial-result contract when a node dies mid-fleet.
+# Cluster smoke: two pressd nodes + the pressr router — routed ingest, 421
+# misroutes, fleet scatter-gather, and the 206 partial-result contract when
+# a node dies mid-fleet.
 clustersmoke:
 	./scripts/cluster_smoke.sh
 
@@ -60,9 +60,7 @@ clustersmoke:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzStoreRoundtrip -fuzztime=$(FUZZTIME) ./internal/store
-	$(GO) test -fuzz=FuzzSnapshotOpen -fuzztime=$(FUZZTIME) ./internal/spindex
 	$(GO) test -fuzz=FuzzHierVsTable -fuzztime=$(FUZZTIME) ./internal/spindex
-	$(GO) test -fuzz=FuzzHierBuildDeterminism -fuzztime=$(FUZZTIME) ./internal/spindex
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -fuzz=FuzzOnlineCompressorEquivalence -fuzztime=$(FUZZTIME) ./internal/core
 

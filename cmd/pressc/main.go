@@ -15,12 +15,9 @@
 // decompress only need to share those inputs — mirroring the paper's static
 // auxiliary structures.
 //
-// Shortest paths come from a contraction hierarchy over the network, whose
-// answers are bit-identical to the paper's all-pairs table at O(|E|)
-// memory. Every subcommand takes -snapshot path: the first invocation
-// builds the hierarchy once and saves it there; every later invocation
-// memory-maps it back instead of rebuilding (repeated CLI runs over the
-// same network pay the build once); -spworkers sets the build's goroutines.
+// Shortest paths come from an early-stopped search over the network whose
+// answers are bit-identical to the paper's all-pairs table; it needs no
+// preprocessing, so every invocation starts from its input files alone.
 package main
 
 import (
@@ -58,8 +55,6 @@ func usage() {
 
 type common struct {
 	net, gps, train string
-	snapshot        string
-	spworkers       int
 	theta           int
 	tsnd, nstd      float64
 }
@@ -69,10 +64,6 @@ func commonFlags(fs *flag.FlagSet) *common {
 	fs.StringVar(&c.net, "net", "data/network.txt", "road network file")
 	fs.StringVar(&c.gps, "gps", "data/gps.txt", "raw GPS file")
 	fs.StringVar(&c.train, "train", "data/trips.txt", "training paths file")
-	fs.StringVar(&c.snapshot, "snapshot", "",
-		"SP snapshot path: mmap it when valid, else build once and save it there (cache semantics)")
-	fs.IntVar(&c.spworkers, "spworkers", 0,
-		"goroutines for the hier contraction build (0 = GOMAXPROCS; output is identical at any count)")
 	fs.IntVar(&c.theta, "theta", 3, "max mined sub-trajectory length")
 	fs.Float64Var(&c.tsnd, "tsnd", 0, "TSND bound (m)")
 	fs.Float64Var(&c.nstd, "nstd", 0, "NSTD bound (s)")
@@ -85,8 +76,6 @@ func buildSystem(c *common) (*press.System, *roadnet.Graph) {
 	cfg := press.DefaultConfig()
 	cfg.Theta = c.theta
 	cfg.TSND, cfg.NSTD = c.tsnd, c.nstd
-	cfg.SPSnapshotPath = c.snapshot
-	cfg.SPBuildWorkers = c.spworkers
 	sys, err := press.NewSystem(g, training, cfg)
 	if err != nil {
 		fatal(err)

@@ -4,8 +4,8 @@
 // store — the city-scale serving system the paper pitches compression as
 // enabling.
 //
-//	pressd -net network.txt -train trips.txt -snapshot sp.snap -store fleet/ \
-//	       [-init] [-spworkers N] [-addr :8321] [-shards 4] [-theta 3] \
+//	pressd -net network.txt -train trips.txt -store fleet/ \
+//	       [-addr :8321] [-shards 4] [-theta 3] \
 //	       [-tsnd 0] [-nstd 0] [-idle-flush 30s] [-max-session-bytes 1048576] \
 //	       [-max-concurrent 0] [-max-frame-bytes 1048576] [-drain-timeout 30s] \
 //	       [-cluster host0:8321,host1:8321 -node-index 0] [-checkpoint-every 0]
@@ -22,14 +22,9 @@
 // decode path allocates nothing per point; -max-frame-bytes caps a single
 // frame's payload.
 //
-// Cold start is a memory map, not a preprocessing run: the daemon boots
-// strictly from the contraction-hierarchy snapshot at -snapshot (no
-// contraction — sp.mapped in /v1/stats), so N worker processes over the
-// same file share one physical copy through the page cache. With -init a
-// missing or stale snapshot — damaged, written for another network, or
-// left over in a retired format — is materialized once (the only mode that
-// ever builds the hierarchy) and then mapped back, so first boot and every
-// later boot go through the same serving path.
+// Cold start is graph load plus codebook training: shortest paths come
+// from an early-stopped search that needs no preprocessing, no index file
+// and no memory map, so every boot takes the same path.
 //
 // The fleet store at -store is created when absent (with -shards segment
 // files) and reopened — recovering per shard from any crash tail — when
@@ -56,7 +51,6 @@ import (
 
 	"press"
 	"press/internal/roadnet"
-	"press/internal/spindex"
 	"press/internal/traj"
 )
 
@@ -64,9 +58,6 @@ func main() {
 	var (
 		netPath  = flag.String("net", "data/network.txt", "road network file")
 		train    = flag.String("train", "data/trips.txt", "training paths file")
-		snapshot = flag.String("snapshot", "sp.snap", "SP snapshot file to boot from")
-		spwork   = flag.Int("spworkers", 0, "goroutines for the hier contraction build (0 = GOMAXPROCS; output is identical at any count)")
-		init_    = flag.Bool("init", false, "materialize the snapshot if missing/stale, then boot from it")
 		storeDir = flag.String("store", "fleet", "sharded fleet store directory")
 		shards   = flag.Int("shards", 4, "shard count when creating a new store")
 		addr     = flag.String("addr", ":8321", "listen address")
@@ -103,25 +94,10 @@ func main() {
 	cfg.SessionIdleFlush = *idle
 
 	t0 := time.Now()
-	sys, err := press.NewSystemFromSnapshot(g, training, *snapshot, cfg)
-	if err != nil && *init_ && spindex.IsCacheMiss(err) {
-		// Materialize the snapshot directly from the hierarchy build — no
-		// codebook training, which the strict boot below does exactly once —
-		// then retry the same serving path every later boot takes.
-		fmt.Fprintf(os.Stderr, "pressd: materializing SP snapshot at %s...\n", *snapshot)
-		h := spindex.NewHierWith(g, spindex.HierOptions{BuildWorkers: *spwork})
-		if err := h.SaveSnapshot(*snapshot); err != nil {
-			fatal(err)
-		}
-		sys, err = press.NewSystemFromSnapshot(g, training, *snapshot, cfg)
-	}
+	sys, err := press.NewSystem(g, training, cfg)
 	if err != nil {
-		if !*init_ {
-			err = fmt.Errorf("%w (run once with -init to materialize the snapshot)", err)
-		}
 		fatal(err)
 	}
-	defer sys.Close()
 	boot := time.Since(t0)
 
 	st, err := openOrCreateStore(*storeDir, *shards)
@@ -142,9 +118,9 @@ func main() {
 	}
 
 	stats := sys.SPStats()
-	fmt.Printf("pressd: booted in %v: %d edges, SP %s mapped (%d bytes), store %q (%d records, %d shards)\n",
+	fmt.Printf("pressd: booted in %v: %d edges, SP %s (%d scratch bytes per search), store %q (%d records, %d shards)\n",
 		boot.Round(time.Millisecond), g.NumEdges(), stats.Kind,
-		stats.MappedBytes, *storeDir, st.Len(), st.Shards())
+		stats.HeapBytes, *storeDir, st.Len(), st.Shards())
 
 	if clusterOpt.Nodes > 1 {
 		fmt.Printf("pressd: cluster node %d of %d (owning vehicles where hash(id) %% %d == %d)\n",

@@ -2,10 +2,9 @@
 //
 //	go run ./examples/parallel
 //
-// Generates a synthetic fleet, builds the shortest-path hierarchy over a
-// worker pool, then ingests the raw GPS feed twice — serially and through
-// the streaming pipeline (match -> reformat -> HSC+BTC compress -> fleet
-// store) — and compares throughput. One deliberately broken trajectory
+// Generates a synthetic fleet, trains the system, then ingests the raw GPS
+// feed twice — serially and through the streaming pipeline (match ->
+// reformat -> HSC+BTC compress -> fleet store) — and compares throughput. One deliberately broken trajectory
 // demonstrates per-item failure reporting: it fails alone, the rest of the
 // fleet flows through.
 package main
@@ -32,18 +31,16 @@ func main() {
 	fmt.Printf("city: %d intersections, %d road segments; fleet: %d trajectories\n",
 		ds.Graph.NumVertices(), ds.Graph.NumEdges(), len(ds.Raws))
 
-	// 2. Assemble the system. SPBuildWorkers runs the shortest-path
-	// preprocessing — the contraction-hierarchy build — over the pool.
+	// 2. Assemble the system: codebook training only, since shortest paths
+	// need no preprocessing.
 	cfg := press.DefaultConfig()
 	cfg.TSND, cfg.NSTD = 50, 30
-	cfg.SPBuildWorkers = workers
 	t0 := time.Now()
 	sys, err := press.NewSystem(ds.Graph, ds.Trips[:60], cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("system ready in %v (SP hierarchy built on %d workers)\n",
-		time.Since(t0).Round(time.Millisecond), workers)
+	fmt.Printf("system ready in %v\n", time.Since(t0).Round(time.Millisecond))
 
 	// 3. A feed with one poison item: per-item errors must not sink the batch.
 	feed := append([]press.RawTrajectory{}, ds.Raws...)

@@ -1,12 +1,12 @@
-// The serving daemon, end to end: boot a PRESS system from an SP snapshot
-// (mmap, no hierarchy build), expose it over HTTP on loopback, and drive it
+// The serving daemon, end to end: boot a PRESS system, expose it over HTTP
+// on loopback, and drive it
 // the way a fleet of telematics boxes and an LBS dashboard would — raw JSON
 // over the wire, no press import on the client side of the conversation.
 //
 //	go run ./examples/pressd
 //
-// The walkthrough: (1) generate a city and save a snapshot; (2) boot the
-// server from it; (3) stream one vehicle's trip through POST /v1/ingest/{id}
+// The walkthrough: (1) generate a city; (2) boot the system and the server
+// over it; (3) stream one vehicle's trip through POST /v1/ingest/{id}
 // as JSON, ending the trip with flush, and a second vehicle through the
 // binary batched wire protocol on POST /v1/ingest; (4) ask
 // whereat/whenat/range/mindistance over HTTP; (5) read /v1/stats; (6) drain
@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	// --- offline preparation: city, training, SP snapshot ---
+	// --- offline preparation: city and training trips ---
 	ds, err := press.GenerateDataset(press.DefaultDatasetOptions(40))
 	if err != nil {
 		log.Fatal(err)
@@ -41,27 +41,15 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	snap := filepath.Join(dir, "sp.snap")
+	// --- boot the serving system: graph plus codebook training, nothing else ---
 	cfg := press.DefaultConfig()
 	cfg.TSND, cfg.NSTD = 50, 30 // meters, seconds
-	cfg.SPSnapshotPath = snap   // cache semantics: build once, save
-	warm, err := press.NewSystem(ds.Graph, ds.Trips[:20], cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	warm.Close()
-
-	// --- boot the serving system strictly from the snapshot ---
-	cfg.SPSnapshotPath = ""
 	t0 := time.Now()
-	sys, err := press.NewSystemFromSnapshot(ds.Graph, ds.Trips[:20], snap, cfg)
+	sys, err := press.NewSystem(ds.Graph, ds.Trips[:20], cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Close()
-	stats := sys.SPStats()
-	fmt.Printf("booted from snapshot in %v: mapped=%v, %d bytes mapped\n",
-		time.Since(t0).Round(time.Millisecond), stats.Mapped, stats.MappedBytes)
+	fmt.Printf("booted in %v\n", time.Since(t0).Round(time.Millisecond))
 
 	st, err := press.CreateShardedFleetStore(filepath.Join(dir, "fleet"), 4)
 	if err != nil {
@@ -180,8 +168,7 @@ func main() {
 
 	var sd struct {
 		SP struct {
-			Mapped    bool `json:"mapped"`
-			HeapBytes int  `json:"heap_bytes"`
+			HeapBytes int `json:"heap_bytes"`
 		} `json:"sp"`
 		Store struct {
 			Records int   `json:"records"`
@@ -189,8 +176,8 @@ func main() {
 		} `json:"store"`
 	}
 	get("/v1/stats", &sd)
-	fmt.Printf("stats: sp mapped=%v heap_bytes=%d, store %d records (%d bytes)\n",
-		sd.SP.Mapped, sd.SP.HeapBytes, sd.Store.Records, sd.Store.Bytes)
+	fmt.Printf("stats: sp heap_bytes=%d, store %d records (%d bytes)\n",
+		sd.SP.HeapBytes, sd.Store.Records, sd.Store.Bytes)
 
 	// --- graceful drain; the store remains an ordinary sharded store ---
 	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

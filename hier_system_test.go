@@ -2,17 +2,15 @@ package press
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"press/internal/spindex"
 )
 
-// spFixture builds a dataset plus three equally trained systems over it:
-// ref, the reference over the paper's all-pairs Table (assembled directly,
-// since no exported constructor serves a Table); heap, NewSystem's heap
-// hierarchy; and mapped, NewSystemFromSnapshot over heap's saved snapshot.
-func spFixture(t *testing.T) (ds *Dataset, ref, heap, mapped *System) {
+// spFixture builds a dataset plus two equally trained systems over it: ref,
+// the reference over the paper's all-pairs Table (assembled directly, since
+// no exported constructor serves a Table), and sys, NewSystem's search.
+func spFixture(t *testing.T) (ds *Dataset, ref, sys *System) {
 	t.Helper()
 	opt := DefaultDatasetOptions(20)
 	opt.City.Rows, opt.City.Cols = 6, 6
@@ -23,21 +21,13 @@ func spFixture(t *testing.T) (ds *Dataset, ref, heap, mapped *System) {
 	cfg := DefaultConfig()
 	cfg.TSND, cfg.NSTD = 50, 30
 	training := ds.Trips[:10]
-	if ref, err = assembleSystem(ds.Graph, spindex.NewTable(ds.Graph), nil, training, cfg); err != nil {
+	if ref, err = assembleSystem(ds.Graph, spindex.NewTable(ds.Graph), training, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if heap, err = NewSystem(ds.Graph, training, cfg); err != nil {
+	if sys, err = NewSystem(ds.Graph, training, cfg); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "sp.snap")
-	if err := heap.SaveSPSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	if mapped, err = NewSystemFromSnapshot(ds.Graph, training, path, cfg); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mapped.Close() })
-	return ds, ref, heap, mapped
+	return ds, ref, sys
 }
 
 // assertSameAnswers is the facade-level oracle: over every raw trajectory
@@ -104,40 +94,13 @@ func assertSameAnswers(t *testing.T, ds *Dataset, ref, got *System) []*Compresse
 }
 
 // TestHierSystemEquivalence is the facade-level acceptance property for the
-// hierarchy: compression output is byte-identical and query answers are
-// identical to a system over the all-pairs table — the O(|E|²) table is not
-// part of the answer contract.
+// served SP source: compression output is byte-identical and query answers
+// are identical to a system over the all-pairs table — the O(|E|²) table is
+// not part of the answer contract.
 func TestHierSystemEquivalence(t *testing.T) {
-	ds, ref, heap, _ := spFixture(t)
-	if got := heap.SPStats(); got.Kind != "hier" || got.Mapped {
-		t.Fatalf("NewSystem stats = %+v; want kind hier, unmapped", got)
+	ds, ref, sys := spFixture(t)
+	if got := sys.SPStats(); got.Kind != "hier" || got.HeapBytes <= 0 {
+		t.Fatalf("NewSystem stats = %+v; want kind hier with its search scratch", got)
 	}
-	assertSameAnswers(t, ds, ref, heap)
-}
-
-// TestSaveSPSnapshotHeapHier pins that a heap hierarchy system can
-// materialize its own snapshot for the next boot.
-func TestSaveSPSnapshotHeapHier(t *testing.T) {
-	opt := DefaultDatasetOptions(8)
-	opt.City.Rows, opt.City.Cols = 5, 5
-	ds, err := GenerateDataset(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewSystem(ds.Graph, ds.Trips[:4], DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "heap.hier")
-	if err := sys.SaveSPSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := NewSystemFromSnapshot(ds.Graph, ds.Trips[:4], path, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	if s := reopened.SPStats(); !s.Mapped || s.Kind != "hier" {
-		t.Fatalf("reopened stats = %+v; want mapped hier", s)
-	}
+	assertSameAnswers(t, ds, ref, sys)
 }

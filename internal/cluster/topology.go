@@ -6,10 +6,9 @@
 // The design leans on two earlier invariants. Vehicle ownership is
 // store.ShardOf(id, N) — the same stable splitmix64 hash the store uses for
 // its shard files — so the router, the nodes and any smart client compute
-// the owner independently and always agree. And the expensive shared state
-// (the mmap'd shortest-path snapshot) is read-only and page-cache shared,
-// so N nodes on one machine pay for it once; per-node work drops to
-// O(fleet/N).
+// the owner independently and always agree. And the shared state (road
+// network, codebook) is read-only and identical on every node, so per-node
+// work drops to O(fleet/N).
 //
 // The topology is static: an ordered address list, identical on every
 // party. Nodes enforce ownership (misrouted work → 421 naming the owner,

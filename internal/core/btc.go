@@ -27,6 +27,11 @@ import (
 // immediately after the anchor, so the plateau may last at most η beyond the
 // anchor or the window must close. This keeps the exact NSTD (first-arrival
 // semantics, see the NSTD function) within η in every case.
+//
+// ts must satisfy Temporal.Validate. A point that breaks it can fail even a
+// fresh window; BTC then retains it and restarts from it instead of
+// re-evaluating it forever, so malformed input ends with some subsequence
+// rather than a hang.
 func BTC(ts traj.Temporal, tau, eta float64) traj.Temporal {
 	n := len(ts)
 	if n <= 2 {
@@ -59,6 +64,13 @@ func BTC(ts traj.Temporal, tau, eta float64) traj.Temporal {
 			// longer than η; a rising chord would report departure at the
 			// anchor time, off by more than η.
 			ok = false
+		}
+		if !ok && a == i-1 {
+			// p fails a fresh window: ts is malformed (see above).
+			out = append(out, p)
+			reset(i)
+			i++
+			continue
 		}
 		if !ok {
 			// Retain the previous point and re-evaluate p against it.

@@ -63,8 +63,18 @@ func (ct *Compressed) SizeBytes() int {
 	return 4 + ct.Spatial.SizeBytes() + 4 + 8*len(ct.Temporal)
 }
 
-// Compress compresses one re-formatted trajectory.
+// Compress compresses one re-formatted trajectory. A path edge outside the
+// network, or a temporal sequence that fails Temporal.Validate, is refused
+// with an error before either stage runs.
 func (c *Compressor) Compress(t *traj.Trajectory) (*Compressed, error) {
+	for _, e := range t.Path {
+		if err := c.checkEdge(e); err != nil {
+			return nil, err
+		}
+	}
+	if err := t.Temporal.Validate(); err != nil {
+		return nil, err
+	}
 	sc, err := c.HSC().Compress(t.Path)
 	if err != nil {
 		return nil, err
@@ -75,6 +85,15 @@ func (c *Compressor) Compress(t *traj.Trajectory) (*Compressed, error) {
 		Temporal: temporal,
 		Summary:  SummarizeTrajectory(c.Graph, t.Path, temporal),
 	}, nil
+}
+
+// checkEdge refuses an edge id outside the network: the SP search and the
+// MBR fold index by it.
+func (c *Compressor) checkEdge(e roadnet.EdgeID) error {
+	if e < 0 || int(e) >= c.Graph.NumEdges() {
+		return fmt.Errorf("core: edge %d outside the network's %d edges", e, c.Graph.NumEdges())
+	}
+	return nil
 }
 
 // Decompress recovers the trajectory: the spatial path exactly, the temporal

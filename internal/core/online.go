@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"press/internal/geo"
@@ -97,6 +98,7 @@ type OnlineBTC struct {
 	n       int
 	anchor  traj.Entry
 	prev    traj.Entry
+	fresh   bool // the window holds no point past its anchor
 	lo, hi  float64
 	flatEnd float64
 }
@@ -111,12 +113,15 @@ func NewOnlineBTC(tau, eta float64, emit func(traj.Entry)) *OnlineBTC {
 
 func (o *OnlineBTC) resetWindow(anchor traj.Entry) {
 	o.anchor = anchor
+	o.fresh = true
 	o.lo, o.hi = 0, math.Inf(1)
 	o.flatEnd = math.Inf(-1)
 }
 
-// Push feeds the next temporal tuple. Tuples must arrive with strictly
-// increasing T and non-decreasing D.
+// Push feeds the next temporal tuple. Tuples must arrive finite, with
+// strictly increasing T and non-decreasing D (OnlineCompressor refuses any
+// other). A tuple that breaks this can fail even a fresh window; Push then
+// retains it and restarts from it instead of re-evaluating it forever.
 func (o *OnlineBTC) Push(p traj.Entry) {
 	o.n++
 	if o.n == 1 {
@@ -139,6 +144,12 @@ func (o *OnlineBTC) Push(p traj.Entry) {
 			o.prev = p
 			return
 		}
+		if o.fresh { // malformed tuple (see above)
+			o.emit(p)
+			o.resetWindow(p)
+			o.prev = p
+			return
+		}
 		// Retain prev, restart the window from it and re-evaluate p.
 		o.emit(o.prev)
 		o.resetWindow(o.prev)
@@ -146,6 +157,7 @@ func (o *OnlineBTC) Push(p traj.Entry) {
 }
 
 func (o *OnlineBTC) shrink(p traj.Entry, dt, dd float64) {
+	o.fresh = false
 	if l1 := (dd - o.tau) / dt; l1 > o.lo {
 		o.lo = l1
 	}
@@ -207,6 +219,7 @@ type OnlineCompressor struct {
 	mbr     geo.MBR       // union of raw-edge MBRs, for the BoundingSummary
 	edges   int           // raw edges pushed since the last Reset/Flush
 	samples int           // raw tuples pushed since the last Reset/Flush
+	last    traj.Entry    // the last tuple pushed, when samples > 0
 }
 
 // NewOnlineCompressor creates a streaming compressor sharing the batch
@@ -224,23 +237,78 @@ func NewOnlineCompressor(c *Compressor) (*OnlineCompressor, error) {
 // PushEdge feeds the next traversed edge of the spatial path. The edge's
 // geometry MBR is folded into the running bounding summary — raw edges,
 // exactly the set the batch path summarizes, so the Flush summary matches
-// Compressor.Compress bit for bit.
-func (o *OnlineCompressor) PushEdge(e roadnet.EdgeID) {
-	o.edges++
-	// An out-of-range edge is tolerated here — it fails the FST encode at
-	// Flush with a proper error — so it must not blow up the MBR fold.
-	if i := int(e); i >= 0 && i < o.c.Graph.NumEdges() {
-		o.mbr.ExtendMBR(o.c.Graph.Edge(e).MBR())
+// Compressor.Compress bit for bit. An edge outside the network is refused
+// with an error and changes nothing.
+func (o *OnlineCompressor) PushEdge(e roadnet.EdgeID) error {
+	if err := o.c.checkEdge(e); err != nil {
+		return err
 	}
+	o.pushEdge(e)
+	return nil
+}
+
+// PushSample feeds the next temporal (d, t) tuple. A tuple that is not
+// finite, whose T is not after the last pushed T, or whose D is below the
+// last pushed D is refused with an error and changes nothing: BTC's window
+// is only defined over strictly increasing T and non-decreasing D.
+func (o *OnlineCompressor) PushSample(p traj.Entry) error {
+	if err := o.checkSample(p); err != nil {
+		return err
+	}
+	o.pushSample(p)
+	return nil
+}
+
+// Push feeds one observation: the edge the vehicle entered (NoEdge for
+// none) and, when hasSample, its (d, t) tuple. Both are checked before
+// either is applied, so a refused observation changes nothing.
+func (o *OnlineCompressor) Push(e roadnet.EdgeID, p traj.Entry, hasSample bool) error {
+	if e != roadnet.NoEdge {
+		if err := o.c.checkEdge(e); err != nil {
+			return err
+		}
+	}
+	if hasSample {
+		if err := o.checkSample(p); err != nil {
+			return err
+		}
+	}
+	if e != roadnet.NoEdge {
+		o.pushEdge(e)
+	}
+	if hasSample {
+		o.pushSample(p)
+	}
+	return nil
+}
+
+func (o *OnlineCompressor) checkSample(p traj.Entry) error {
+	switch {
+	case !finite(p.D) || !finite(p.T):
+		return fmt.Errorf("core: sample (d=%v, t=%v) is not finite", p.D, p.T)
+	case o.samples == 0:
+		return nil
+	case p.T <= o.last.T:
+		return fmt.Errorf("core: sample t=%v not after the previous t=%v", p.T, o.last.T)
+	case p.D < o.last.D:
+		return fmt.Errorf("core: sample d=%v below the previous d=%v", p.D, o.last.D)
+	}
+	return nil
+}
+
+func (o *OnlineCompressor) pushEdge(e roadnet.EdgeID) {
+	o.edges++
+	o.mbr.ExtendMBR(o.c.Graph.Edge(e).MBR())
 	o.sp.Push(e)
 }
 
-// PushSample feeds the next temporal (d, t) tuple. Tuples must arrive with
-// strictly increasing T and non-decreasing D, as in the batch pipeline.
-func (o *OnlineCompressor) PushSample(p traj.Entry) {
+func (o *OnlineCompressor) pushSample(p traj.Entry) {
 	o.samples++
+	o.last = p
 	o.btc.Push(p)
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Edges returns the number of raw edges pushed since the last Reset/Flush.
 func (o *OnlineCompressor) Edges() int { return o.edges }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"press/internal/gen"
 	"press/internal/roadnet"
@@ -131,21 +134,38 @@ func TestOnlineCompressorResetAndCounters(t *testing.T) {
 }
 
 // A flush that fails (edge outside the codebook alphabet) must leave the
-// compressor reusable.
+// compressor reusable. PushEdge refuses edges outside the network, so the
+// edge here is in the network but outside a codebook trained over a
+// narrower alphabet.
 func TestOnlineCompressorFlushErrorResets(t *testing.T) {
-	c, genPath, rng := testCompressor(t, 50, 30)
+	full, genPath, rng := testCompressor(t, 50, 30)
+	last := roadnet.EdgeID(full.Graph.NumEdges() - 1)
+	narrow, err := Train(nil, TrainOptions{NumEdges: int(last), Theta: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCompressor(full.Graph, full.SP, narrow, full.Tau, full.Eta)
+	if err != nil {
+		t.Fatal(err)
+	}
 	o, err := NewOnlineCompressor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.PushEdge(roadnet.EdgeID(c.Graph.NumEdges() + 99))
+	if err := o.PushEdge(last); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := o.Flush(); err == nil {
-		t.Fatal("out-of-range edge flushed without error")
+		t.Fatal("edge outside the codebook flushed without error")
 	}
 	if !o.Empty() {
 		t.Fatal("failed Flush left state behind")
 	}
-	tr := synthTrajectory(c, genPath(8), rng)
+	path := genPath(8)
+	for slices.Contains(path, last) {
+		path = genPath(8)
+	}
+	tr := synthTrajectory(c, path, rng)
 	want, err := c.Compress(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -264,4 +284,111 @@ func FuzzOnlineCompressorEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// malformedSamples are sample sequences whose last tuple breaks the
+// temporal invariants: each once sent BTC's retain-and-re-evaluate loop
+// spinning. Every prefix before the last tuple is valid.
+var malformedSamples = []struct {
+	name string
+	ts   traj.Temporal
+}{
+	{"repeats the anchor", traj.Temporal{{D: 0, T: 5}, {D: 0, T: 5}}},
+	{"time goes backward", traj.Temporal{{D: 0, T: 0}, {D: 10, T: 5}, {D: 20, T: 4}}},
+	{"time stalls", traj.Temporal{{D: 0, T: 0}, {D: 10, T: 5}, {D: 20, T: 5}}},
+	{"distance decreases", traj.Temporal{{D: 0, T: 0}, {D: 10, T: 5}, {D: 5, T: 10}}},
+	{"NaN distance", traj.Temporal{{D: 0, T: 0}, {D: math.NaN(), T: 5}}},
+	{"NaN time", traj.Temporal{{D: 0, T: 0}, {D: 10, T: math.NaN()}}},
+	{"infinite time", traj.Temporal{{D: 0, T: 0}, {D: 10, T: math.Inf(1)}}},
+	{"non-finite first sample", traj.Temporal{{D: math.Inf(-1), T: 0}}},
+}
+
+// withDeadline fails t when fn has not returned within a generous bound —
+// the failure mode under test is an endless loop, not slowness.
+func withDeadline(t *testing.T, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("did not return: endless loop")
+	}
+}
+
+// BTC and OnlineBTC must end on malformed input instead of re-evaluating
+// a failing tuple forever.
+func TestBTCTerminatesOnMalformedInput(t *testing.T) {
+	for _, tc := range malformedSamples {
+		withDeadline(t, func() {
+			BTC(tc.ts, 0, 0)
+			o := NewOnlineBTC(0, 0, func(traj.Entry) {})
+			for _, p := range tc.ts {
+				o.Push(p)
+			}
+			o.Flush()
+		})
+	}
+}
+
+// OnlineCompressor refuses a malformed observation with an error and
+// changes nothing: the record it flushes afterwards is the batch record of
+// the valid observations alone.
+func TestOnlineCompressorRefusesBadObservations(t *testing.T) {
+	c, genPath, _ := testCompressor(t, 50, 30)
+	path := genPath(6)
+	n := roadnet.EdgeID(c.Graph.NumEdges())
+	for _, tc := range malformedSamples {
+		valid, bad := tc.ts[:len(tc.ts)-1], tc.ts[len(tc.ts)-1]
+		o, err := NewOnlineCompressor(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range path {
+			if err := o.PushEdge(e); err != nil {
+				t.Fatalf("%s: valid edge refused: %v", tc.name, err)
+			}
+		}
+		for _, p := range valid {
+			if err := o.PushSample(p); err != nil {
+				t.Fatalf("%s: valid sample refused: %v", tc.name, err)
+			}
+		}
+		if err := o.PushSample(bad); err == nil {
+			t.Fatalf("%s: PushSample accepted %+v", tc.name, bad)
+		}
+		// A combined observation is refused whole: its valid edge stays out.
+		if err := o.Push(path[len(path)-1], bad, true); err == nil {
+			t.Fatalf("%s: Push accepted %+v", tc.name, bad)
+		}
+		for _, e := range []roadnet.EdgeID{n, n + 7, -1, roadnet.NoEdge - 5} {
+			if err := o.PushEdge(e); err == nil {
+				t.Fatalf("PushEdge accepted edge %d of %d", e, n)
+			}
+		}
+		if o.Edges() != len(path) || o.Samples() != len(valid) {
+			t.Fatalf("%s: refused pushes counted: %d edges, %d samples", tc.name, o.Edges(), o.Samples())
+		}
+		got, err := o.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.Compress(&traj.Trajectory{Path: path, Temporal: valid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Fatalf("%s: record after a refused push differs from batch", tc.name)
+		}
+		// Batch compression refuses the whole malformed sequence.
+		if _, err := c.Compress(&traj.Trajectory{Path: path, Temporal: tc.ts}); err == nil {
+			t.Fatalf("%s: Compress accepted the malformed sequence", tc.name)
+		}
+	}
+	if _, err := c.Compress(&traj.Trajectory{Path: traj.Path{n}}); err == nil {
+		t.Fatal("Compress accepted an edge outside the network")
+	}
 }

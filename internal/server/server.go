@@ -83,25 +83,29 @@ import (
 	"press/internal/wire"
 )
 
-// SPInfo mirrors the facade's SPStats accounting (field-for-field, so the
-// facade converts between the two types directly): which shortest-path
-// implementation is active (always "hier"), how it is resident (mapped
-// snapshot vs Go heap), and the hierarchy's build and cache counters.
+// SPInfo is the shortest-path source accounting /v1/stats and /metrics
+// publish: which implementation is active (always "hier") and the heap
+// bytes one search holds.
 type SPInfo struct {
-	Kind   string `json:"kind"`
-	Mapped bool   `json:"mapped"`
-	// Deprecated: always 0; Hier holds no rows.
-	CachedRows  int `json:"cached_rows"`
-	HeapBytes   int `json:"heap_bytes"`
-	MappedBytes int `json:"mapped_bytes"`
+	Kind      string `json:"kind"`
+	HeapBytes int    `json:"heap_bytes"`
 
-	BuildWorkers     int `json:"build_workers"`
-	WitnessSettleCap int `json:"witness_settle_cap"`
-	// Deprecated: always 0; Hier holds no rows.
-	RowCacheBytes int    `json:"row_cache_bytes"`
-	UnpackHits    uint64 `json:"unpack_hits"`
-	UnpackMisses  uint64 `json:"unpack_misses"`
-	UnpackBytes   int    `json:"unpack_bytes"`
+	// Deprecated: bench/ compatibility only; published nowhere.
+	Mapped bool `json:"-"`
+	// Deprecated: bench/ compatibility only; published nowhere.
+	CachedRows int `json:"-"`
+	// Deprecated: bench/ compatibility only; published nowhere.
+	MappedBytes int `json:"-"`
+	// Deprecated: bench/ compatibility only; published nowhere.
+	WitnessSettleCap int `json:"-"`
+	// Deprecated: bench/ compatibility only; published nowhere.
+	RowCacheBytes int `json:"-"`
+	// Deprecated: bench/ compatibility only; published nowhere.
+	UnpackHits uint64 `json:"-"`
+	// Deprecated: bench/ compatibility only; published nowhere.
+	UnpackMisses uint64 `json:"-"`
+	// Deprecated: bench/ compatibility only; published nowhere.
+	UnpackBytes int `json:"-"`
 }
 
 // Options tunes the serving behavior.
@@ -473,6 +477,9 @@ const maxIngestBody = 1 << 20
 //   - Manager shutdown and lifetime-context cancellation — wrapped or not,
 //     matched with errors.Is — are 503: the daemon is draining, retry
 //     against the next instance.
+//   - stream.ErrBadObservation (errors.Is) is 400: the client sent an edge
+//     outside the network or a sample that is non-finite or out of order;
+//     nothing of it was applied and the session is intact.
 //   - Everything else (sink append failures, codec errors) is 500.
 func ingestStatus(err error) int {
 	switch {
@@ -480,6 +487,8 @@ func ingestStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, stream.ErrManagerClosed), errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, stream.ErrBadObservation):
+		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
 	}
@@ -524,6 +533,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := ingestResponse{}
 	for _, p := range req.Points {
+		if p.Edge != nil && (*p.Edge < 0 || *p.Edge > math.MaxInt32) {
+			writeJSON(w, http.StatusBadRequest, ingestResponse{
+				Accepted: resp.Accepted, Error: fmt.Sprintf("edge %d is not an edge id", *p.Edge),
+			})
+			return
+		}
 		var err error
 		switch {
 		case p.Edge != nil && p.Sample != nil:
@@ -866,13 +881,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.SPInfo != nil {
 		sp := s.cfg.SPInfo()
 		fmt.Fprintf(&b, "# HELP press_sp_kind Active shortest-path implementation (value is always 1; the kind label carries the information).\n# TYPE press_sp_kind gauge\npress_sp_kind{kind=%q} 1\n", sp.Kind)
-		gauge("press_sp_heap_bytes", "Shortest-path source bytes resident on the Go heap.", float64(sp.HeapBytes))
-		gauge("press_sp_mapped_bytes", "Shortest-path source bytes served from the read-only snapshot mapping.", float64(sp.MappedBytes))
-		gauge("press_sp_build_workers", "Goroutines the contraction-hierarchy build ran on.", float64(sp.BuildWorkers))
-		gauge("press_sp_witness_settle_cap", "Resolved witness settle cap of the hierarchy build.", float64(sp.WitnessSettleCap))
-		counter("press_sp_unpack_cache_hits_total", "Shortcut-unpack cache hits.", sp.UnpackHits)
-		counter("press_sp_unpack_cache_misses_total", "Shortcut-unpack cache misses.", sp.UnpackMisses)
-		gauge("press_sp_unpack_cache_bytes", "Heap bytes of the shortcut-unpack cache.", float64(sp.UnpackBytes))
+		gauge("press_sp_heap_bytes", "Scratch bytes one shortest-path search holds on the Go heap.", float64(sp.HeapBytes))
 	}
 
 	names := make([]string, 0, len(s.metrics))

@@ -1,8 +1,8 @@
 // End-to-end battery over the HTTP serving layer: a generator fleet is
 // ingested over the wire and every query endpoint must answer exactly what
 // the in-process facade answers. The tests live in an external package so
-// they can drive the real press facade (snapshot-booted System, sharded
-// store) through the same handler stack pressd serves.
+// they can drive the real press facade (System, sharded store) through the
+// same handler stack pressd serves.
 package server_test
 
 import (
@@ -13,7 +13,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -26,8 +25,8 @@ import (
 )
 
 // fixture is the shared read-only serving system: a synthetic fleet and a
-// System booted strictly from a mapped SP snapshot (the pressd cold-start
-// path). Tests create their own stores and servers over it.
+// System booted the way pressd boots one. Tests create their own stores and
+// servers over it.
 type fixture struct {
 	ds  *press.Dataset
 	sys *press.System
@@ -55,28 +54,11 @@ func buildFixture() error {
 	if err != nil {
 		return err
 	}
-	dir, err := os.MkdirTemp("", "press-server-fixture")
-	if err != nil {
-		return err
-	}
-	snap := filepath.Join(dir, "sp.snap")
 	cfg := press.DefaultConfig()
 	cfg.TSND, cfg.NSTD = 50, 30
-	cfg.SPSnapshotPath = snap
-	warm, err := press.NewSystem(ds.Graph, ds.Trips[:16], cfg)
+	sys, err := press.NewSystem(ds.Graph, ds.Trips[:16], cfg)
 	if err != nil {
 		return err
-	}
-	if err := warm.Close(); err != nil {
-		return err
-	}
-	cfg.SPSnapshotPath = ""
-	sys, err := press.NewSystemFromSnapshot(ds.Graph, ds.Trips[:16], snap, cfg)
-	if err != nil {
-		return err
-	}
-	if got := sys.SPStats(); !got.Mapped || got.Kind != "hier" {
-		return fmt.Errorf("fixture system not snapshot-booted: %+v", got)
 	}
 	fx = &fixture{ds: ds, sys: sys}
 	return nil
@@ -185,11 +167,8 @@ func ingestFleet(t *testing.T, base string, fxt *fixture) {
 // statsDoc mirrors the /v1/stats document shape.
 type statsDoc struct {
 	SP struct {
-		Kind        string `json:"kind"`
-		Mapped      bool   `json:"mapped"`
-		CachedRows  int    `json:"cached_rows"`
-		HeapBytes   int    `json:"heap_bytes"`
-		MappedBytes int    `json:"mapped_bytes"`
+		Kind      string `json:"kind"`
+		HeapBytes int    `json:"heap_bytes"`
 	} `json:"sp"`
 	Sessions struct {
 		Active  int    `json:"active"`
@@ -242,8 +221,8 @@ func TestEndToEndMatchesFacade(t *testing.T) {
 	if status := getJSON(t, ts.URL+"/v1/stats", &stats); status != http.StatusOK {
 		t.Fatalf("stats = %d", status)
 	}
-	if !stats.SP.Mapped || stats.SP.Kind != "hier" || stats.SP.MappedBytes == 0 {
-		t.Fatalf("sp kind accounting: %+v, want a mapped hier with mapped bytes", stats.SP)
+	if stats.SP.Kind != "hier" || stats.SP.HeapBytes == 0 {
+		t.Fatalf("sp kind accounting: %+v, want hier with its search scratch bytes", stats.SP)
 	}
 	if stats.Sessions.Flushed != uint64(n) || stats.Sessions.Active != 0 {
 		t.Fatalf("sessions: %+v, want %d flushed 0 active", stats.Sessions, n)
@@ -1083,9 +1062,7 @@ func TestMetricsExposition(t *testing.T) {
 		"press_request_errors_total{endpoint=\"whereat\"} 0",
 		"press_uptime_seconds",
 		"press_sp_kind{kind=\"hier\"} 1",
-		"# TYPE press_sp_mapped_bytes gauge",
 		"# TYPE press_sp_heap_bytes gauge",
-		"# TYPE press_sp_unpack_cache_hits_total counter",
 		// The per-endpoint latency counters /v1/stats reports must reach
 		// /metrics as a proper summary: one TYPE line, then _sum/_count
 		// pairs per endpoint label, so node and router latencies line up
@@ -1098,6 +1075,12 @@ func TestMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	// The SP source is one search: nothing mapped, built or cached to report.
+	for _, gone := range []string{"press_sp_mapped_bytes", "press_sp_build_workers", "press_sp_witness_settle_cap", "press_sp_unpack_"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("metrics still publish %q", gone)
 		}
 	}
 	// The summary pair must appear for every instrumented endpoint, and the

@@ -35,6 +35,7 @@ func TestIngestStatusContract(t *testing.T) {
 		{"context canceled", context.Canceled, http.StatusServiceUnavailable},
 		{"wrapped context canceled",
 			fmt.Errorf("push: %w", context.Canceled), http.StatusServiceUnavailable},
+		{"bad observation", fmt.Errorf("%w: edge 9 outside the network", stream.ErrBadObservation), http.StatusBadRequest},
 		{"anything else", errDisk, http.StatusInternalServerError},
 	}
 	for _, tc := range cases {

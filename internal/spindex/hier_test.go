@@ -1,14 +1,11 @@
 package spindex
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -81,33 +78,6 @@ func TestHierMatchesTableCity(t *testing.T) {
 	}
 }
 
-func TestHierBuildDeterministic(t *testing.T) {
-	g := randomGraph(t, 15, 50, 42)
-	var a, b bytes.Buffer
-	if _, err := NewHier(g).WriteSnapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewHier(g).WriteSnapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two builds over the same graph serialized differently")
-	}
-}
-
-func TestHierShortcutsBounded(t *testing.T) {
-	g := randomGraph(t, 30, 120, 13)
-	h := NewHier(g)
-	if h.shortcuts < 0 || h.ArcCount() < h.shortcuts {
-		t.Fatalf("implausible arc accounting: %d arcs, %d shortcuts", h.ArcCount(), h.shortcuts)
-	}
-	// CH over a sparse graph must stay near-linear: allow a generous
-	// constant, catch anything quadratic.
-	if max := 20 * g.NumEdges(); h.ArcCount() > max {
-		t.Fatalf("%d arcs for %d edges — contraction exploded", h.ArcCount(), g.NumEdges())
-	}
-}
-
 // TestHierMemoryScalesLinearly is the regression gate against an accidental
 // O(|E|²) structure sneaking back in: per-edge memory may drift only by a
 // small constant across a 16x growth in |E|, while the all-pairs table grows
@@ -137,7 +107,7 @@ func TestHierMemoryScalesLinearly(t *testing.T) {
 				ratio, pts[0].edges, pts[i].edges)
 		}
 	}
-	// At the largest graph the hierarchy must cost at most 10% of the
+	// At the largest graph the search scratch must cost at most 10% of the
 	// all-pairs table (analytically: n rows of n preds + n dists each).
 	last := pts[len(pts)-1]
 	n := last.edges
@@ -148,12 +118,13 @@ func TestHierMemoryScalesLinearly(t *testing.T) {
 	}
 }
 
+// TestHierSnapshotRoundTrip runs the perf ledger's boot sequence through the
+// compatibility entry points — NewHierWith, SaveSnapshot, OpenHierMapped —
+// and checks the Hier it ends with against Table on every method.
 func TestHierSnapshotRoundTrip(t *testing.T) {
 	g := randomGraph(t, 18, 60, 21)
-	h := NewHier(g)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "hier.snap")
-	if err := h.SaveSnapshot(path); err != nil {
+	path := filepath.Join(t.TempDir(), "sp.prsp")
+	if err := NewHierWith(g, HierOptions{}).SaveSnapshot(path); err != nil {
 		t.Fatal(err)
 	}
 	m, err := OpenHierMapped(path, g)
@@ -161,130 +132,48 @@ func TestHierSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if err := m.EnsureValid(); err != nil {
-		t.Fatalf("EnsureValid: %v", err)
-	}
-	if !m.Mapped() || m.MappedBytes() <= 0 {
-		t.Fatal("mapped hierarchy must report mapped bytes")
-	}
-	if m.shortcuts != h.shortcuts || m.ArcCount() != h.ArcCount() {
-		t.Fatalf("counts drifted through the snapshot: %d/%d vs %d/%d",
-			m.shortcuts, m.ArcCount(), h.shortcuts, h.ArcCount())
-	}
-	checkHierMatchesTable(t, g, m, "mapped")
-	// Re-exporting the mapped hierarchy must reproduce the file bit for bit.
-	var buf bytes.Buffer
-	if _, err := m.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	onDisk, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), onDisk) {
-		t.Fatal("mapped re-export differs from the file")
-	}
+	checkHierMatchesTable(t, g, m, "compat boot")
 }
 
-func TestHierSnapshotOpenErrors(t *testing.T) {
-	g := randomGraph(t, 10, 30, 33)
-	other := randomGraph(t, 10, 30, 34)
-	h := NewHier(g)
-	var buf bytes.Buffer
-	if _, err := h.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
+// Two routes of equal true length whose weights sum in a different float
+// order: 0.1+0.2 rounds to 0.30000000000000004, one ULP above 0.3. Dist,
+// GapDist and Path must still equal Table's bit for bit, because both run
+// the same left-to-right accumulation.
+func TestHierNearTieMatchesTable(t *testing.T) {
+	// Vertices 0..4; source edge s = 0→1, destination edge d = 3→4.
+	// Route A: 1→2 (0.1), 2→3 (0.2). Route B: 1→3 (0.3).
+	vs := make([]roadnet.Vertex, 5)
+	for i := range vs {
+		vs[i] = roadnet.Vertex{ID: roadnet.VertexID(i)}
 	}
-	valid := buf.Bytes()
-
-	wantBad := func(t *testing.T, data []byte) {
-		t.Helper()
-		if _, err := parseHierSnapshot(data, g); !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("want ErrBadSnapshot, got %v", err)
-		}
+	es := []roadnet.Edge{
+		{ID: 0, From: 0, To: 1, Weight: 1},
+		{ID: 1, From: 1, To: 2, Weight: 0.1},
+		{ID: 2, From: 2, To: 3, Weight: 0.2},
+		{ID: 3, From: 1, To: 3, Weight: 0.3},
+		{ID: 4, From: 3, To: 4, Weight: 0.7},
 	}
-	t.Run("truncated", func(t *testing.T) {
-		wantBad(t, valid[:10])
-		wantBad(t, valid[:snapHeaderLen+4])
-	})
-	t.Run("magic", func(t *testing.T) {
-		bad := append([]byte(nil), valid...)
-		bad[0] ^= 0xFF
-		wantBad(t, bad)
-	})
-	t.Run("header-crc", func(t *testing.T) {
-		bad := append([]byte(nil), valid...)
-		bad[16] ^= 1 // edge count
-		wantBad(t, bad)
-	})
-	t.Run("dir-crc", func(t *testing.T) {
-		bad := append([]byte(nil), valid...)
-		bad[snapHeaderLen+4+4] ^= 1 // first directory entry's offset
-		wantBad(t, bad)
-	})
-	t.Run("mismatch", func(t *testing.T) {
-		if _, err := parseHierSnapshot(valid, other); !errors.Is(err, ErrSnapshotMismatch) {
-			t.Fatalf("want ErrSnapshotMismatch, got %v", err)
-		}
-	})
-	t.Run("version-confusion", func(t *testing.T) {
-		// A file claiming the retired all-pairs layout (version 1) must be a
-		// typed failure, not a panic or silent nonsense.
-		bad := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint32(bad[4:8], 1)
-		binary.LittleEndian.PutUint32(bad[snapHeaderLen:], crc32.ChecksumIEEE(bad[:snapHeaderLen]))
-		wantBad(t, bad)
-	})
-}
-
-// TestHierSnapshotFirstTouchDegrades is the validate-on-first-touch
-// contract: payload damage is invisible to the (header-only) open, surfaces
-// on EnsureValid, and Dist degrades to the early-stopped Dijkstra SPEnd and
-// Path always run — Table's answers on every pair, no rows held — instead of
-// serving damaged sections.
-func TestHierSnapshotFirstTouchDegrades(t *testing.T) {
-	g := randomGraph(t, 12, 40, 55)
-	h := NewHier(g)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "hier.snap")
-	if err := h.SaveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
+	g, err := roadnet.NewGraph(vs, es)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one byte mid-file: inside a bulk section payload (the arcs or an
-	// adjacency list), past the header and directory the open validates.
-	raw[len(raw)/2] ^= 1
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+	// The premise: the routes tie in real arithmetic but not in float, so
+	// the canonical path to edge 3 is route B.
+	if a, b := g.Edge(1).Weight+g.Edge(2).Weight, g.Edge(3).Weight; a == b {
+		t.Fatalf("route sums %v and %v tie in float; the test needs a near-tie", a, b)
 	}
-	m, err := OpenHierMapped(path, g)
-	if err != nil {
-		t.Fatalf("open must stay header-only and succeed, got %v", err)
+	checkHierMatchesTable(t, g, NewHier(g), "near-tie")
+	tab, h := NewTable(g), NewHier(g)
+	if got := tab.Path(0, 3); !slices.Equal(got, []roadnet.EdgeID{0, 3}) {
+		t.Fatalf("table Path(0,3) = %v, want route B [0 3]", got)
 	}
-	defer m.Close()
-	if err := m.EnsureValid(); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("EnsureValid = %v, want ErrBadSnapshot", err)
-	}
-	tab := NewTable(g)
-	n := g.NumEdges()
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			src, dst := roadnet.EdgeID(a), roadnet.EdgeID(b)
-			if got, want := m.Dist(src, dst), tab.Dist(src, dst); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("degraded Dist(%d,%d) = %v, want %v", a, b, got, want)
-			}
-			if got, want := m.SPEnd(src, dst), tab.SPEnd(src, dst); got != want {
-				t.Fatalf("degraded SPEnd(%d,%d) = %d, want %d", a, b, got, want)
-			}
-			if got, want := m.Path(src, dst), tab.Path(src, dst); !slices.Equal(got, want) {
-				t.Fatalf("degraded Path(%d,%d) = %v, want %v", a, b, got, want)
-			}
+	for _, dst := range []roadnet.EdgeID{3, 4} {
+		if got, want := h.Path(0, dst), tab.Path(0, dst); !slices.Equal(got, want) {
+			t.Fatalf("Path(0,%d) = %v, table %v", dst, got, want)
 		}
-	}
-	if got := m.MemoryBytes(); got != 0 {
-		t.Fatalf("degraded mapping holds %d heap bytes, want 0", got)
+		if got, want := h.GapDist(0, dst), tab.GapDist(0, dst); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("GapDist(0,%d) = %v, table %v", dst, got, want)
+		}
 	}
 }
 
@@ -405,12 +294,11 @@ func TestHierFromMatchesTable(t *testing.T) {
 	}
 }
 
-// FuzzHierVsTable cross-checks the hierarchy against the all-pairs table on
-// fuzzer-chosen graph shapes: full Dist/SPEnd equality, bounded path walks,
-// and one resumed search per source asked about destinations in an order
-// the fuzzer chooses. Any divergence — including the float near-tie class
-// the design documents for Dist — crashes the fuzzer with the offending
-// topology in the corpus.
+// FuzzHierVsTable cross-checks the search against the all-pairs table on
+// fuzzer-chosen graph shapes: full Dist/GapDist/SPEnd equality, bounded path
+// walks, and one resumed search per source asked about destinations in an
+// order the fuzzer chooses. Any divergence crashes the fuzzer with the
+// offending topology in the corpus.
 func FuzzHierVsTable(f *testing.F) {
 	f.Add(uint8(8), uint8(24), int64(1), false, []byte{3, 3, 0, 17})
 	f.Add(uint8(12), uint8(40), int64(7), true, []byte{9, 1, 40, 2, 2})
@@ -438,6 +326,10 @@ func FuzzHierVsTable(f *testing.F) {
 				if we, ge := tab.SPEnd(src, dst), h.SPEnd(src, dst); we != ge {
 					t.Fatalf("SPEnd(%d,%d) = %d, table %d", a, b, ge, we)
 				}
+				wg, gg := tab.GapDist(src, dst), h.GapDist(src, dst)
+				if math.Float64bits(wg) != math.Float64bits(gg) {
+					t.Fatalf("GapDist(%d,%d) = %v, table %v", a, b, gg, wg)
+				}
 			}
 			// One bounded path walk per source.
 			dst := roadnet.EdgeID((a*5 + 3) % n)
@@ -453,4 +345,69 @@ func FuzzHierVsTable(f *testing.F) {
 		}
 		checkSearchesMatchTable(t, tab, h, order, seed)
 	})
+}
+
+// The query-path mirror of wire's TestDecodeAllocFree: once warmed, the
+// pooled, epoch-stamped search must answer Dist, GapDist, SPEnd and a From,
+// SPEnd, Close sequence without a single heap allocation.
+func TestHierQueryAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race mode makes sync.Pool drop items at random; alloc counts are meaningless")
+	}
+	g := randomGraph(t, 25, 100, 77)
+	h := NewHier(g)
+	n := g.NumEdges()
+	pairs := [][2]roadnet.EdgeID{}
+	for i := 0; i < 32; i++ {
+		pairs = append(pairs, [2]roadnet.EdgeID{
+			roadnet.EdgeID((i * 7) % n), roadnet.EdgeID((i*13 + 5) % n),
+		})
+	}
+	query := func() {
+		for _, p := range pairs {
+			h.Dist(p[0], p[1])
+			h.GapDist(p[0], p[1])
+			h.SPEnd(p[0], p[1])
+			s := h.From(p[0])
+			s.SPEnd(p[1])
+			s.Close()
+		}
+	}
+	query() // warm: pool a context and grow its heap
+
+	// A GC between runs could empty the context pool and make the next run
+	// re-allocate through no fault of the query path; pin the world still.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if allocs := testing.AllocsPerRun(100, query); allocs != 0 {
+		t.Fatalf("warm query allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkHierQueryHot is the allocgate-gated steady-state benchmark: a
+// warmed Hier answering a fixed query mix. scripts/allocgate.sh fails
+// CI if this reports any allocs/op.
+func BenchmarkHierQueryHot(b *testing.B) {
+	g := randomGraph(b, 40, 160, 2024)
+	h := NewHier(g)
+	n := g.NumEdges()
+	pairs := make([][2]roadnet.EdgeID, 64)
+	for i := range pairs {
+		pairs[i] = [2]roadnet.EdgeID{roadnet.EdgeID((i * 31) % n), roadnet.EdgeID((i*17 + 9) % n)}
+	}
+	query := func(p [2]roadnet.EdgeID) {
+		h.Dist(p[0], p[1])
+		h.GapDist(p[0], p[1])
+		h.SPEnd(p[0], p[1])
+		s := h.From(p[0])
+		s.SPEnd(p[1])
+		s.Close()
+	}
+	for _, p := range pairs { // warm the pool and the heap
+		query(p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query(pairs[i%len(pairs)])
+	}
 }

@@ -4,30 +4,22 @@ import "press/internal/roadnet"
 
 // SP is the shortest-path source every PRESS component consumes: the §3.1
 // contract (SPend lookups, distances, canonical path reconstruction) without
-// committing to where the all-pair answers come from. Two implementations
-// ship:
+// committing to where the answers come from. Two implementations ship:
 //
-//   - *Hier is the one the system builds, persists, maps and serves. SPEnd
-//     and Path run dijkstraRow's loop from src and stop when dst settles;
-//     Dist and GapDist come from a contraction hierarchy over the line
-//     graph — O(|E| + shortcuts) memory and bidirectional upward searches —
-//     built on the heap by NewHier or memory-mapped read-only from a
-//     snapshot by OpenHierMapped, so N processes share one copy through the
-//     page cache;
+//   - *Hier is the one the system serves. Every method runs dijkstraRow's
+//     loop from src and stops when dst settles; it precomputes nothing and
+//     holds one search's scratch per concurrent query;
 //   - *Table keeps the paper's all-pair rows on the Go heap, computed lazily
-//     (or bulk-materialized by PrecomputeAll*). It is the reference the
-//     hierarchy is tested against and the paper-preprocessing axis of the
-//     experiments.
+//     (or bulk-materialized by PrecomputeAll*). It is the reference Hier is
+//     tested against and the paper-preprocessing axis of the experiments.
 //
 // Hier.From resumes one early-stopped search as its destinations move
 // outward, so a run of SPEnd questions from one anchor costs one search,
 // not one per question; Table.From hands out the source's row.
 //
-// Both are safe for concurrent use and return identical answers for the same
-// graph (Hier's SPEnd and Path are Table's search stopped early, and its
-// unpack-and-resum Dist reproduces Table's float accumulation; see hier.go
-// for the exact contract), so the choice never changes compression output or
-// query results.
+// Both are safe for concurrent use and return identical answers, bit for
+// bit, for the same graph: Hier is Table's search stopped early. The choice
+// never changes compression output or query results.
 type SP interface {
 	// SPEnd returns the edge right before dst on the canonical shortest
 	// path from src to dst, or NoEdge when dst is unreachable or src == dst.

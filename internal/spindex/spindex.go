@@ -19,14 +19,11 @@
 // pair, eliminating the ambiguity §3.1 warns about.
 //
 // Consumers program against the SP interface (sp.go). Hier (hier.go) is the
-// source the system serves: a contraction hierarchy over the same line graph
-// — O(|E| + shortcuts) memory instead of O(|E|²) — returning answers
-// identical to Table's, persisted as the PRSP snapshot (hiersnap.go) that
-// processes memory-map back without rebuilding. Its SPEnd and Path run
-// dijkstraRow's loop and stop when the destination settles, so they need no
-// rows at all; its From resumes that loop for each next destination. Table
-// stays as the test oracle and the paper-preprocessing axis of the
-// experiments.
+// source the system serves: dijkstraRow's loop run from the source and
+// stopped when the destination settles, so it needs no rows at all and
+// answers exactly as Table does; its From resumes that loop for each next
+// destination. Table stays as the test oracle and the paper-preprocessing
+// axis of the experiments.
 package spindex
 
 import (
@@ -118,7 +115,7 @@ func (t *Table) computeRow(src roadnet.EdgeID) ([]roadnet.EdgeID, []float64) {
 
 // dijkstraRow is the canonical line-graph Dijkstra: Table materializes rows
 // with it, and Hier.settle runs the same loop, stopped when the destination
-// settles, for SPEnd and Path. The relaxation order (binary heap keyed by
+// settles, for every SP question. The relaxation order (binary heap keyed by
 // (dist, edge id)) and the tie-break rule (smaller distance, then smaller
 // predecessor id) define the single canonical shortest path per pair; any
 // alternative implementation must reproduce its output bit for bit. It stays

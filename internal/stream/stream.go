@@ -29,6 +29,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +52,15 @@ var ErrManagerClosed = errors.New("stream: manager closed")
 // and the vehicle's next push starts a fresh session. Match with errors.Is
 // (a failing force-flush joins its error to this one).
 var ErrSessionTooLarge = errors.New("stream: session exceeds memory cap")
+
+// ErrBadObservation is returned by a push whose observation the session's
+// compressor refused (see core.OnlineCompressor.Push): an edge outside the
+// network, a non-finite d or t, a t not after the vehicle's last accepted
+// t, or a d below its last accepted d. The refused observation changes
+// nothing: the session keeps every point accepted before it, and the
+// vehicle's next valid push continues the same trajectory. Match with
+// errors.Is.
+var ErrBadObservation = errors.New("stream: bad observation")
 
 // Sink receives finished session records keyed by trajectory id;
 // store.ShardedStore satisfies it.
@@ -214,7 +224,7 @@ func (m *Manager) get(id uint64) (*session, error) {
 // withSession runs fn on the live session for id, retrying if an idle
 // sweep ends the session between lookup and lock (the push then starts a
 // fresh trajectory, which is exactly what a reappearing vehicle means).
-func (m *Manager) withSession(id uint64, fn func(*session)) error {
+func (m *Manager) withSession(id uint64, fn func(*session) error) error {
 	for {
 		s, err := m.get(id)
 		if err != nil {
@@ -228,7 +238,9 @@ func (m *Manager) withSession(id uint64, fn func(*session)) error {
 			m.removeSession(s)
 			continue
 		}
-		fn(s)
+		if err := fn(s); err != nil {
+			return m.refuse(s, err)
+		}
 		s.oc.Park() // an idle session holds no search scratch
 		s.at = time.Now()
 		if max := m.opt.MaxSessionBytes; max > 0 && s.oc.MemoryBytes() > max {
@@ -251,28 +263,39 @@ func (m *Manager) withSession(id uint64, fn func(*session)) error {
 	}
 }
 
+// refuse unlocks s after its compressor refused an observation and wraps the
+// refusal in ErrBadObservation. A session left holding nothing ends and is
+// unmapped, so pushes that are all refused leave no session behind.
+func (m *Manager) refuse(s *session, err error) error {
+	empty := s.oc.Empty()
+	if empty {
+		s.end = true
+	}
+	s.mu.Unlock()
+	if empty {
+		m.removeSession(s)
+	}
+	return fmt.Errorf("%w: %w", ErrBadObservation, err)
+}
+
 // PushEdge feeds the next edge vehicle id traversed, opening the session if
-// necessary.
+// necessary. A refused edge returns ErrBadObservation.
 func (m *Manager) PushEdge(id uint64, e roadnet.EdgeID) error {
-	return m.withSession(id, func(s *session) { s.oc.PushEdge(e) })
+	return m.withSession(id, func(s *session) error { return s.oc.PushEdge(e) })
 }
 
 // PushSample feeds vehicle id's next (d, t) tuple, opening the session if
-// necessary.
+// necessary. A refused tuple returns ErrBadObservation.
 func (m *Manager) PushSample(id uint64, p traj.Entry) error {
-	return m.withSession(id, func(s *session) { s.oc.PushSample(p) })
+	return m.withSession(id, func(s *session) error { return s.oc.PushSample(p) })
 }
 
 // Push feeds one combined observation: the edge the vehicle just entered
 // plus its (d, t) sample. Pass roadnet.NoEdge when the fix landed on an
-// already-recorded edge.
+// already-recorded edge. A refused observation returns ErrBadObservation
+// and applies neither part.
 func (m *Manager) Push(id uint64, e roadnet.EdgeID, p traj.Entry) error {
-	return m.withSession(id, func(s *session) {
-		if e != roadnet.NoEdge {
-			s.oc.PushEdge(e)
-		}
-		s.oc.PushSample(p)
-	})
+	return m.withSession(id, func(s *session) error { return s.oc.Push(e, p, true) })
 }
 
 // Obs is one observation for the batched push path: the edge the vehicle
@@ -296,8 +319,10 @@ type Obs struct {
 // force-flushes the session *including* that point. PushBatch then returns
 // the number of observations applied (the breaching point is the last) and
 // ErrSessionTooLarge — match with errors.Is; a joined flush failure means
-// the cut trajectory was dropped, not stored. On success it returns
-// (len(obs), nil).
+// the cut trajectory was dropped, not stored. An observation the compressor
+// refuses stops the batch: PushBatch returns the number applied before it
+// and ErrBadObservation, and the session lock is released. On success it
+// returns (len(obs), nil).
 func (m *Manager) PushBatch(id uint64, obs []Obs) (int, error) {
 	if len(obs) == 0 {
 		m.mu.Lock()
@@ -327,11 +352,11 @@ func (m *Manager) PushBatch(id uint64, obs []Obs) (int, error) {
 		maxBytes := m.opt.MaxSessionBytes
 		for i := range obs {
 			o := &obs[i]
-			if o.Edge != roadnet.NoEdge {
-				s.oc.PushEdge(o.Edge)
-			}
-			if o.HasSample {
-				s.oc.PushSample(o.Sample)
+			if err := s.oc.Push(o.Edge, o.Sample, o.HasSample); err != nil {
+				s.oc.Park()
+				s.at = time.Now()
+				m.pushes.Add(uint64(i))
+				return i, m.refuse(s, err)
 			}
 			if maxBytes > 0 && s.oc.MemoryBytes() > maxBytes {
 				err := m.flushLocked(s)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -279,21 +280,30 @@ func TestLifetimeCancelDiscards(t *testing.T) {
 	}
 }
 
-// An edge outside the codebook alphabet surfaces at flush time and must not
-// wedge the session map.
+// refuseSink rejects appends for one vehicle and stores the rest.
+type refuseSink struct {
+	Sink
+	id uint64
+}
+
+func (s refuseSink) Append(id uint64, ct *core.Compressed) error {
+	if id == s.id {
+		return errors.New("sink refuses this vehicle")
+	}
+	return s.Sink.Append(id, ct)
+}
+
+// A flush that fails surfaces its error and must not wedge the session map.
 func TestFlushErrorSurfaces(t *testing.T) {
 	comp, ds, st := fixture(t)
-	m, err := NewManager(context.Background(), comp, st, Options{})
+	m, err := NewManager(context.Background(), comp, refuseSink{Sink: st, id: 9}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	bad := roadnet.EdgeID(comp.Graph.NumEdges() + 1)
-	if err := m.PushEdge(9, bad); err != nil {
-		t.Fatal(err)
-	}
+	feed(t, m, 9, ds.Truth[1])
 	if err := m.Flush(9); err == nil {
-		t.Fatal("flush of an invalid path succeeded")
+		t.Fatal("flush into a refusing sink succeeded")
 	}
 	if m.Active() != 0 {
 		t.Fatal("failed session left open")
@@ -1195,4 +1205,129 @@ func TestSessionsHoldNoSearch(t *testing.T) {
 	if sp.opened.Load() == 0 {
 		t.Fatal("no search was ever opened")
 	}
+}
+
+// badSamples pairs a valid sample prefix with the tuple that breaks it and
+// a valid tuple to continue with.
+var badSamples = []struct {
+	name        string
+	valid       []traj.Entry
+	bad, resume traj.Entry
+}{
+	{"repeats the anchor", []traj.Entry{{D: 0, T: 5}}, traj.Entry{D: 0, T: 5}, traj.Entry{D: 1, T: 6}},
+	{"time goes backward", []traj.Entry{{D: 0, T: 0}, {D: 10, T: 5}}, traj.Entry{D: 20, T: 4}, traj.Entry{D: 20, T: 6}},
+	{"distance decreases", []traj.Entry{{D: 0, T: 0}, {D: 10, T: 5}}, traj.Entry{D: 5, T: 10}, traj.Entry{D: 15, T: 10}},
+	{"NaN distance", []traj.Entry{{D: 0, T: 0}}, traj.Entry{D: math.NaN(), T: 5}, traj.Entry{D: 10, T: 5}},
+	{"infinite time", []traj.Entry{{D: 0, T: 0}}, traj.Entry{D: 10, T: math.Inf(1)}, traj.Entry{D: 10, T: 5}},
+}
+
+// withDeadline fails t when fn has not returned within a generous bound —
+// the failure modes under test are an endless loop and a session lock never
+// released, not slowness. fn runs on its own goroutine, so it reports
+// failures with t.Errorf and returns instead of calling t.Fatal.
+func withDeadline(t *testing.T, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("did not return: endless loop or a session lock never released")
+	}
+}
+
+// A malformed observation — through PushSample, Push, PushEdge or
+// PushBatch — returns ErrBadObservation and changes nothing: the vehicle's
+// next valid push succeeds, and Flush and Shutdown return.
+func TestBadObservationRejected(t *testing.T) {
+	comp, ds, st := fixture(t)
+	n := roadnet.EdgeID(comp.Graph.NumEdges())
+	path := ds.Truth[0].Path
+	m, err := NewManager(context.Background(), comp, st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withDeadline(t, func() {
+		id := uint64(100)
+		for _, tc := range badSamples {
+			for via := 0; via < 3; via++ {
+				id++
+				if err := m.PushEdge(id, path[0]); err != nil {
+					t.Errorf("%s: valid edge refused: %v", tc.name, err)
+					return
+				}
+				for _, p := range tc.valid {
+					if err := m.PushSample(id, p); err != nil {
+						t.Errorf("%s: valid sample refused: %v", tc.name, err)
+						return
+					}
+				}
+				var err error
+				switch via {
+				case 0:
+					err = m.PushSample(id, tc.bad)
+				case 1:
+					err = m.Push(id, path[1], tc.bad)
+				default:
+					batch := []Obs{{Edge: path[1]}, {Edge: roadnet.NoEdge, Sample: tc.bad, HasSample: true}, {Edge: path[2]}}
+					var applied int
+					if applied, err = m.PushBatch(id, batch); applied != 1 {
+						t.Errorf("%s: PushBatch applied %d, want 1", tc.name, applied)
+						return
+					}
+				}
+				if !errors.Is(err, ErrBadObservation) {
+					t.Errorf("%s (via %d): got %v, want ErrBadObservation", tc.name, via, err)
+					return
+				}
+				if err := m.Push(id, roadnet.NoEdge, tc.resume); err != nil {
+					t.Errorf("%s (via %d): next valid push: %v", tc.name, via, err)
+					return
+				}
+				if err := m.Flush(id); err != nil {
+					t.Errorf("%s (via %d): Flush: %v", tc.name, via, err)
+					return
+				}
+			}
+		}
+		id++
+		for _, e := range []roadnet.EdgeID{n, n + 3, -9} {
+			if err := m.PushEdge(id, e); !errors.Is(err, ErrBadObservation) {
+				t.Errorf("PushEdge(%d) of %d edges: got %v, want ErrBadObservation", e, n, err)
+				return
+			}
+			// Refused whole: the sample of a combined observation stays
+			// out, so the valid push below is no repeat of it.
+			if err := m.Push(id, e, traj.Entry{D: 0, T: 1}); !errors.Is(err, ErrBadObservation) {
+				t.Errorf("Push(%d) of %d edges: got %v, want ErrBadObservation", e, n, err)
+				return
+			}
+			if _, err := m.PushBatch(id, []Obs{{Edge: e}}); !errors.Is(err, ErrBadObservation) {
+				t.Errorf("PushBatch(%d) of %d edges: got %v, want ErrBadObservation", e, n, err)
+				return
+			}
+		}
+		// NoEdge means "no edge" on Push and PushBatch, but PushEdge has no
+		// such reading: there it is an edge outside the network.
+		if err := m.PushEdge(id, roadnet.NoEdge); !errors.Is(err, ErrBadObservation) {
+			t.Errorf("PushEdge(NoEdge): got %v, want ErrBadObservation", err)
+			return
+		}
+		// Every other session was flushed, and refused pushes alone leave
+		// no session behind.
+		if n := m.Active(); n != 0 {
+			t.Errorf("%d sessions open after only refused pushes, want 0", n)
+			return
+		}
+		if err := m.Push(id, path[0], traj.Entry{D: 0, T: 1}); err != nil {
+			t.Errorf("next valid push after refused edges: %v", err)
+			return
+		}
+		if err := m.Shutdown(context.Background()); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	})
 }

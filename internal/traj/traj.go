@@ -82,9 +82,14 @@ func (ts Temporal) SizeBytes() int { return len(ts) * 16 }
 // Clone returns a copy of the sequence.
 func (ts Temporal) Clone() Temporal { return append(Temporal(nil), ts...) }
 
-// Validate checks that time is strictly increasing and distance
-// non-decreasing, the invariants every PRESS component assumes.
+// Validate checks that every value is finite, time strictly increasing and
+// distance non-decreasing, the invariants every PRESS component assumes.
 func (ts Temporal) Validate() error {
+	for i, e := range ts {
+		if math.IsNaN(e.D) || math.IsInf(e.D, 0) || math.IsNaN(e.T) || math.IsInf(e.T, 0) {
+			return fmt.Errorf("traj: temporal entry %d: not finite", i)
+		}
+	}
 	for i := 1; i < len(ts); i++ {
 		if ts[i].T <= ts[i-1].T {
 			return fmt.Errorf("traj: temporal entry %d: time not strictly increasing", i)

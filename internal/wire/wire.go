@@ -18,7 +18,8 @@
 //	group   := u64 vehicle id | u32 point count | u8 flags (bit0 = flush
 //	           after this group) | point*
 //	point   := u8 kind (bit0 = edge present, bit1 = sample present; 0 and
-//	           >3 are malformed) | [i32 edge] | [f64 d, f64 t]
+//	           >3 are malformed) | [i32 edge, negative is malformed]
+//	           | [f64 d, f64 t]
 //
 // All integers and floats are little-endian, matching the store formats.
 // A point may carry an edge, a (d, t) sample, or both (edge first, the
@@ -32,7 +33,7 @@
 // ErrChecksum (payload bytes do not match the frame CRC), ErrTruncated
 // (the stream ended mid-header or mid-payload) and ErrBadFrame (structural
 // damage inside a CRC-valid payload: short group header, bad point kind,
-// point count past the payload end). A clean end between frames is io.EOF.
+// negative edge id, point count past the payload end). A clean end between frames is io.EOF.
 //
 // # Allocation discipline
 //
@@ -381,6 +382,10 @@ func (it *GroupIter) Point(o *Obs) bool {
 			return false
 		}
 		o.Edge = roadnet.EdgeID(int32(binary.LittleEndian.Uint32(rest)))
+		if o.Edge < 0 {
+			it.err = fmt.Errorf("%w: negative edge id %d", ErrBadFrame, o.Edge)
+			return false
+		}
 		rest = rest[4:]
 	}
 	if kind&kindSample != 0 {

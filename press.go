@@ -150,22 +150,6 @@ type Config struct {
 	// negative = caching off). Consulted by NewServer when the per-server
 	// ServerOptions leave the knob zero.
 	QueryCacheBytes int
-	// SPBuildWorkers sets how many goroutines the contraction-hierarchy
-	// build runs on (0 = GOMAXPROCS). The hierarchy — and any snapshot
-	// written from it — is byte-identical at every worker count; the knob
-	// only trades build wall-clock for CPU.
-	SPBuildWorkers int
-	// SPSnapshotPath makes the shortest-path hierarchy disk-resident: the
-	// file is a regenerable cache of it. When the file exists, matches the
-	// graph and passes full validation, NewSystem memory-maps it read-only
-	// (no contraction on reopen, and N processes share one copy via the page
-	// cache); on a cache miss — missing, corrupt or mismatched file —
-	// NewSystem builds the hierarchy and writes the snapshot there for the
-	// next boot. Open failures that are not cache misses (permissions, I/O)
-	// fail construction instead of triggering a silent rebuild. Empty keeps
-	// the hierarchy on the heap. See also SaveSPSnapshot and
-	// NewSystemFromSnapshot.
-	SPSnapshotPath string
 }
 
 // DefaultConfig returns the paper's defaults: θ = 3, zero-error temporal
@@ -187,49 +171,17 @@ type System struct {
 
 // NewSystem trains the FST codebook on the given training paths (full edge
 // paths; they are SP-compressed internally, as the paper's pipeline does)
-// and assembles the compressor, query engine and map matcher over a
-// contraction hierarchy of g — built on the heap, or mapped from and cached
-// to Config.SPSnapshotPath.
+// and assembles the compressor, query engine and map matcher over the
+// search-backed shortest-path source of g, which needs no preprocessing.
 func NewSystem(g *Graph, training []Path, cfg Config) (*System, error) {
 	if g == nil {
 		return nil, errors.New("press: nil graph")
 	}
-	var h *spindex.Hier
-	if cfg.SPSnapshotPath != "" {
-		// EnsureValid forces the deferred payload validation here: a system
-		// built through NewSystem wants rebuild-on-corruption, not the
-		// serve-degraded behavior of NewSystemFromSnapshot.
-		m, err := spindex.OpenHierMapped(cfg.SPSnapshotPath, g)
-		if err == nil {
-			if err = m.EnsureValid(); err != nil {
-				m.Close()
-			} else {
-				h = m
-			}
-		}
-		if err != nil && !spindex.IsCacheMiss(err) {
-			return nil, fmt.Errorf("press: opening SP snapshot: %w", err)
-		}
-	}
-	if h == nil {
-		h = spindex.NewHierWith(g, spindex.HierOptions{BuildWorkers: cfg.SPBuildWorkers})
-		if cfg.SPSnapshotPath != "" {
-			if err := h.SaveSnapshot(cfg.SPSnapshotPath); err != nil {
-				return nil, fmt.Errorf("press: saving SP snapshot: %w", err)
-			}
-		}
-	}
-	sys, err := assembleSystem(g, h, h, training, cfg)
-	if err != nil {
-		h.Close()
-	}
-	return sys, err
+	return assembleSystem(g, spindex.NewHier(g), training, cfg)
 }
 
-// assembleSystem builds the trained pipeline components over sp; h is the
-// hierarchy the System reports on and releases on Close (sp itself in every
-// exported constructor).
-func assembleSystem(g *Graph, sp spindex.SP, h *spindex.Hier, training []Path, cfg Config) (*System, error) {
+// assembleSystem builds the trained pipeline components over sp.
+func assembleSystem(g *Graph, sp spindex.SP, training []Path, cfg Config) (*System, error) {
 	if cfg.Theta <= 0 {
 		cfg.Theta = 3
 	}
@@ -256,93 +208,23 @@ func assembleSystem(g *Graph, sp spindex.SP, h *spindex.Hier, training []Path, c
 	if err != nil {
 		return nil, err
 	}
+	h, _ := sp.(*spindex.Hier) // nil for a Table reference
 	return &System{
 		graph: g, sp: h, cb: cb,
 		compressor: compressor, engine: engine, matcher: matcher, cfg: cfg,
 	}, nil
 }
 
-// NewSystemFromSnapshot assembles a System whose shortest-path source is the
-// hierarchy snapshot at path, memory-mapped read-only. Construction performs
-// no contraction and no Dijkstra work: the open validates only the header
-// and section directory, payload checksums are deferred to first use, and a
-// damaged payload degrades the hierarchy to exact per-row recomputation
-// instead of failing the boot. N processes built over the same file share
-// one physical copy via the page cache. Unlike NewSystem with
-// Config.SPSnapshotPath (which treats the snapshot as a regenerable cache),
-// a missing or mismatched snapshot is an error here. Close the returned
-// System to release the mapping.
-func NewSystemFromSnapshot(g *Graph, training []Path, path string, cfg Config) (*System, error) {
-	if g == nil {
-		return nil, errors.New("press: nil graph")
-	}
-	h, err := spindex.OpenHierMapped(path, g)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := assembleSystem(g, h, h, training, cfg)
-	if err != nil {
-		h.Close()
-		return nil, err
-	}
-	return sys, nil
-}
-
-// SaveSPSnapshot writes the system's heap-built hierarchy to path as a
-// snapshot for later boots. It fails when the hierarchy already is a mapped
-// snapshot — the file it was opened from is the snapshot.
-func (s *System) SaveSPSnapshot(path string) error {
-	if s.sp.Mapped() {
-		return errors.New("press: SP source is already a mapped snapshot")
-	}
-	return s.sp.SaveSnapshot(path)
-}
-
-// Close releases resources the system holds — today, the shortest-path
-// snapshot mapping when the system was built over one. Systems with a heap
-// hierarchy need no Close; calling it anyway is a no-op.
-func (s *System) Close() error { return s.sp.Close() }
-
 // SPStats describes the system's shortest-path source for capacity
-// accounting: heap bytes vs file-backed mapped bytes, and the hierarchy's
-// build and cache counters.
+// accounting.
 type SPStats struct {
-	Kind   string // active implementation: always "hier"
-	Mapped bool   // SP source is a memory-mapped snapshot
-	// Deprecated: always 0; Hier holds no rows.
-	CachedRows  int
-	HeapBytes   int // estimated heap bytes of the source
-	MappedBytes int // bytes served from the read-only mapping
-
-	BuildWorkers     int // goroutines the contraction build ran on
-	WitnessSettleCap int // resolved witness settle cap (density-derived)
-	// Deprecated: always 0; Hier holds no rows.
-	RowCacheBytes int
-	UnpackHits    uint64 // unpack-cache hits since construction
-	UnpackMisses  uint64 // unpack-cache misses since construction
-	UnpackBytes   int    // heap bytes the unpack cache currently holds
+	Kind      string // active implementation: always "hier"
+	HeapBytes int    // scratch bytes one search holds on the Go heap
 }
 
 // SPStats reports the current shortest-path source accounting.
 func (s *System) SPStats() SPStats {
-	h := s.sp
-	uh, um, ub := h.UnpackCacheStats()
-	workers := h.BuildWorkers()
-	if workers == 0 {
-		// A mapped hierarchy did no contraction in this process; report the
-		// worker count a rebuild would use so operators can see the
-		// effective configuration either way.
-		workers = s.cfg.SPBuildWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-	}
-	return SPStats{
-		Kind: "hier", Mapped: h.Mapped(),
-		HeapBytes: h.MemoryBytes(), MappedBytes: h.MappedBytes(),
-		BuildWorkers: workers, WitnessSettleCap: h.WitnessCap(),
-		UnpackHits: uh, UnpackMisses: um, UnpackBytes: ub,
-	}
+	return SPStats{Kind: "hier", HeapBytes: s.sp.MemoryBytes()}
 }
 
 // Graph returns the road network the system operates on.
@@ -504,6 +386,12 @@ var ErrStreamClosed = stream.ErrManagerClosed
 // surfaces it as HTTP 413.
 var ErrSessionTooLarge = stream.ErrSessionTooLarge
 
+// ErrBadObservation is returned by a stream-ingest push the session refused:
+// an edge outside the network, or a sample that is non-finite, not later
+// than the last one, or behind it in distance. Nothing of it was applied;
+// the server layer surfaces it as HTTP 400.
+var ErrBadObservation = stream.ErrBadObservation
+
 // NewStreamIngestor opens the live ingest path over this system's online
 // codec: per-vehicle sessions keyed by trajectory id, each compressing
 // edges and samples the moment their windows close, flushed to sink on
@@ -573,8 +461,11 @@ func (s *System) NewServer(ctx context.Context, st *ShardedFleetStore, opt Serve
 		Engine:     s.engine,
 		Compressor: s.compressor,
 		Store:      st,
-		SPInfo:     func() server.SPInfo { return server.SPInfo(s.SPStats()) },
-		Options:    opt,
+		SPInfo: func() server.SPInfo {
+			st := s.SPStats()
+			return server.SPInfo{Kind: st.Kind, HeapBytes: st.HeapBytes}
+		},
+		Options: opt,
 	})
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Allocation-regression gate for the two allocation-free steady states the
-# docs claim: the binary wire ingest decode and the warmed contraction-
-# hierarchy query path. Each benchmark must report exactly 0 allocs/op. Run
+# docs claim: the binary wire ingest decode and the warmed shortest-path
+# search. Each benchmark must report exactly 0 allocs/op. Run
 # by `make allocgate` and CI; TestDecodeAllocFree and TestHierQueryAllocFree
 # cover the same invariants in plain `go test`, this script pins the
 # -benchmem evidence the docs cite.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Cluster end-to-end smoke: two pressd nodes over one shared SP snapshot
-# plus a pressr router in front. Verifies router-side ingest lands on the
+# Cluster end-to-end smoke: two pressd nodes over the same network and
+# training trips plus a pressr router in front. Verifies router-side ingest lands on the
 # owning node (and only there), a fleet range through the router sees both
 # partitions, misrouted direct ingest bounces with 421 naming the owner,
 # SIGTERM on one node degrades fleet queries to 206 with the dead partition
@@ -31,10 +31,10 @@ go build -o "$tmp/pressd" ./cmd/pressd
 go build -o "$tmp/pressr" ./cmd/pressr
 go run ./cmd/pressgen -out "$tmp/data" -trips 60 -rows 8 -cols 8 >/dev/null
 
-# Node 0 materializes the snapshot; node 1 boots from the same file — the
-# page-cache-shared deployment the cluster tier is designed around.
+# Each node boots from the same network and training trips, so both train
+# the same codebook and compress identically.
 "$tmp/pressd" -net "$tmp/data/network.txt" -train "$tmp/data/trips.txt" \
-    -snapshot "$tmp/sp.snap" -init -store "$tmp/fleet0" \
+    -store "$tmp/fleet0" \
     -cluster "$CLUSTER" -node-index 0 \
     -addr "127.0.0.1:${PORT0}" >"$tmp/node0.log" 2>&1 &
 pid0=$!
@@ -51,7 +51,7 @@ wait_ready() { # url pid log
 wait_ready "$NODE0" "$pid0" "$tmp/node0.log"
 
 "$tmp/pressd" -net "$tmp/data/network.txt" -train "$tmp/data/trips.txt" \
-    -snapshot "$tmp/sp.snap" -store "$tmp/fleet1" \
+    -store "$tmp/fleet1" \
     -cluster "$CLUSTER" -node-index 1 \
     -addr "127.0.0.1:${PORT1}" >"$tmp/node1.log" 2>&1 &
 pid1=$!
