@@ -1,9 +1,12 @@
 package spindex
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime/debug"
 	"slices"
@@ -11,6 +14,7 @@ import (
 	"testing"
 
 	"press/internal/gen"
+	"press/internal/geo"
 	"press/internal/roadnet"
 )
 
@@ -133,6 +137,117 @@ func TestHierSnapshotRoundTrip(t *testing.T) {
 	}
 	defer m.Close()
 	checkHierMatchesTable(t, g, m, "compat boot")
+}
+
+// Framing of the retired PRSP v2 snapshot file, enough to cut and flip
+// testdata/prsp_v2.bin at its section boundaries: a header (magic, version,
+// graph fingerprint, |E|, section count), its CRC, a directory of
+// (id, offset, length, CRC) entries, its CRC, then the section payloads.
+const (
+	prspHeaderLen   = 24
+	prspDirEntryLen = 24
+)
+
+// FuzzSnapshotOpen throws arbitrary bytes at the snapshot path of the perf
+// ledger's boot sequence (NewHierWith, SaveSnapshot, OpenHierMapped). The
+// seeds are the PRSP v2 file the retired hierarchy wrote for this graph,
+// each truncation at a section boundary and one flipped byte inside every
+// section. Whatever the file holds, the open must succeed and the index
+// must answer every Dist, GapDist, SPEnd and Path exactly like the table —
+// including the resealed forgeries the old decoder could only be held to
+// no-panic — and one resumed search per source, asked about destinations
+// in the order the bytes spell, must match too. With save set,
+// SaveSnapshot runs over the file first and must leave its bytes as they
+// were.
+func FuzzSnapshotOpen(f *testing.F) {
+	vs := make([]roadnet.Vertex, 4)
+	for i := range vs {
+		vs[i] = roadnet.Vertex{ID: roadnet.VertexID(i), Pos: geo.Point{X: float64(i), Y: float64(i % 2)}}
+	}
+	g, err := roadnet.NewGraph(vs, []roadnet.Edge{
+		{ID: 0, From: 0, To: 1, Weight: 1},
+		{ID: 1, From: 1, To: 2, Weight: 2},
+		{ID: 2, From: 2, To: 3, Weight: 1},
+		{ID: 3, From: 3, To: 0, Weight: 3},
+		{ID: 4, From: 0, To: 2, Weight: 5},
+		{ID: 5, From: 2, To: 0, Weight: 4},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join("testdata", "prsp_v2.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flip := func(i int) []byte {
+		b := bytes.Clone(valid)
+		b[i] ^= 1
+		return b
+	}
+	f.Add(valid, false)
+	f.Add([]byte{}, false)
+	f.Add(flip(prspHeaderLen), false) // header CRC
+	nsec := int(binary.LittleEndian.Uint32(valid[20:24]))
+	dirEnd := prspHeaderLen + 4 + prspDirEntryLen*nsec
+	f.Add(flip(dirEnd), false) // directory CRC
+	for _, cut := range []int{prspHeaderLen, prspHeaderLen + 4, dirEnd, dirEnd + 4} {
+		f.Add(valid[:cut], false)
+	}
+	for i := 0; i < nsec; i++ {
+		e := valid[prspHeaderLen+4+prspDirEntryLen*i:]
+		off := int(binary.LittleEndian.Uint64(e[4:12]))
+		length := int(binary.LittleEndian.Uint64(e[12:20]))
+		f.Add(valid[:off+length/2], false)
+		f.Add(valid[:off+length], false)
+		if length > 0 {
+			f.Add(flip(off+length/2), false)
+			f.Add(flip(off+length/2), true)
+		}
+	}
+
+	tab := NewTable(g)
+	tab.PrecomputeAll()
+	f.Fuzz(func(t *testing.T, data []byte, save bool) {
+		path := filepath.Join(t.TempDir(), "sp.prsp")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if save {
+			if err := NewHierWith(g, HierOptions{}).SaveSnapshot(path); err != nil {
+				t.Fatalf("SaveSnapshot: %v", err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("SaveSnapshot changed the file (err %v)", err)
+			}
+		}
+		h, err := OpenHierMapped(path, g)
+		if err != nil {
+			t.Fatalf("OpenHierMapped: %v", err)
+		}
+		defer h.Close()
+		n := g.NumEdges()
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				src, dst := roadnet.EdgeID(a), roadnet.EdgeID(b)
+				if got, want := h.Dist(src, dst), tab.Dist(src, dst); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Dist(%d,%d) = %v, table %v", a, b, got, want)
+				}
+				if got, want := h.GapDist(src, dst), tab.GapDist(src, dst); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("GapDist(%d,%d) = %v, table %v", a, b, got, want)
+				}
+				if got, want := h.SPEnd(src, dst), tab.SPEnd(src, dst); got != want {
+					t.Fatalf("SPEnd(%d,%d) = %d, table %d", a, b, got, want)
+				}
+				if got, want := h.Path(src, dst), tab.Path(src, dst); !slices.Equal(got, want) {
+					t.Fatalf("Path(%d,%d) = %v, table %v", a, b, got, want)
+				}
+			}
+		}
+		if len(data) > 64 {
+			data = data[:64]
+		}
+		checkSearchesMatchTable(t, tab, h, data, int64(len(data)))
+	})
 }
 
 // Two routes of equal true length whose weights sum in a different float
