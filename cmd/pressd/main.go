@@ -67,7 +67,6 @@ func main() {
 		idle     = flag.Duration("idle-flush", 30*time.Second, "auto-flush sessions idle this long (0 = never)")
 		maxSess  = flag.Int("max-session-bytes", 1<<20, "per-session retained-memory cap (0 = unlimited)")
 		maxConc  = flag.Int("max-concurrent", 0, "max concurrent requests (0 = 4x GOMAXPROCS, <0 = unbounded)")
-		cacheB   = flag.Int("cachebytes", 0, "query cache budget in bytes (0 = server default, <0 = off)")
 		maxFrame = flag.Int("max-frame-bytes", 0, "binary wire frame payload cap in bytes (0 = 1 MiB default)")
 		drain    = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		cluster  = flag.String("cluster", "", "comma-separated node address list; enables cluster mode (every node and the router must use the same list)")
@@ -106,11 +105,10 @@ func main() {
 	}
 
 	srv, err := sys.NewServer(context.Background(), st, press.ServerOptions{
-		MaxConcurrent:   *maxConc,
-		Stream:          press.StreamOptions{MaxSessionBytes: *maxSess},
-		QueryCacheBytes: *cacheB,
-		MaxFrameBytes:   *maxFrame,
-		Cluster:         clusterOpt,
+		MaxConcurrent: *maxConc,
+		Stream:        press.StreamOptions{MaxSessionBytes: *maxSess},
+		MaxFrameBytes: *maxFrame,
+		Cluster:       clusterOpt,
 	})
 	if err != nil {
 		st.Close()

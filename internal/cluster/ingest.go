@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 
+	"press/internal/httpx"
 	"press/internal/wire"
 )
 
@@ -37,7 +38,7 @@ type wireIngestResponse struct {
 func (rt *Router) handleIngestWire(w http.ResponseWriter, r *http.Request) {
 	ct := r.Header.Get("Content-Type")
 	if ct != wire.ContentType && !strings.HasPrefix(ct, wire.ContentType+";") {
-		writeErr(w, http.StatusUnsupportedMediaType,
+		httpx.WriteErr(w, http.StatusUnsupportedMediaType,
 			"bulk ingest is binary-only: set Content-Type "+wire.ContentType)
 		return
 	}
@@ -55,12 +56,12 @@ func (rt *Router) handleIngestWire(w http.ResponseWriter, r *http.Request) {
 			if errors.Is(err, wire.ErrFrameTooLarge) {
 				status = http.StatusRequestEntityTooLarge
 			}
-			writeErr(w, status, err.Error())
+			httpx.WriteErr(w, status, err.Error())
 			return
 		}
 		parts, err := fr.SplitByOwner(n, rt.topo.Owner)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
+			httpx.WriteErr(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		for i, p := range parts {
@@ -71,7 +72,7 @@ func (rt *Router) handleIngestWire(w http.ResponseWriter, r *http.Request) {
 			total += int64(len(p))
 		}
 		if total > rt.opt.MaxBodyBytes {
-			writeErr(w, http.StatusRequestEntityTooLarge,
+			httpx.WriteErr(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("cluster: bulk body exceeds %d buffered bytes", rt.opt.MaxBodyBytes))
 			return
 		}
@@ -130,8 +131,8 @@ func (rt *Router) handleIngestWire(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if failStatus != 0 {
-		writeJSON(w, failStatus, agg)
+		httpx.WriteJSON(w, failStatus, agg)
 		return
 	}
-	writeJSON(w, http.StatusOK, agg)
+	httpx.WriteJSON(w, http.StatusOK, agg)
 }

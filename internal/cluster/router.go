@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"press/internal/httpx"
 	"press/internal/wire"
 )
 
@@ -95,7 +96,7 @@ type Router struct {
 	draining bool
 	httpSrv  *http.Server
 
-	metrics map[string]*endpointMetrics
+	metrics map[string]*httpx.Metrics
 }
 
 // NewRouter assembles a router over topo and starts its health probers.
@@ -138,7 +139,7 @@ func NewRouter(topo *Topology, opt Options) (*Router, error) {
 		client:  opt.Client,
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
-		metrics: make(map[string]*endpointMetrics),
+		metrics: make(map[string]*httpx.Metrics),
 	}
 	if rt.client == nil {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
@@ -173,14 +174,9 @@ func NewRouter(topo *Topology, opt Options) (*Router, error) {
 }
 
 func (rt *Router) route(pattern, name string, h http.HandlerFunc) {
-	m := &endpointMetrics{}
+	m := &httpx.Metrics{}
 	rt.metrics[name] = m
-	rt.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		t0 := time.Now()
-		h(sw, r)
-		m.observe(time.Since(t0), sw.status)
-	})
+	rt.mux.HandleFunc(pattern, m.Instrument(h))
 }
 
 // Handler returns the router's HTTP handler.
@@ -408,7 +404,7 @@ func (rt *Router) gate(w http.ResponseWriter, node int) bool {
 	if rt.nodes[node].healthy.Load() {
 		return true
 	}
-	writeErr(w, http.StatusServiceUnavailable,
+	httpx.WriteErr(w, http.StatusServiceUnavailable,
 		fmt.Sprintf("cluster: node %d (%s) is failing health probes", node, rt.nodes[node].addr))
 	return false
 }
@@ -419,9 +415,9 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, err.Error())
+			httpx.WriteErr(w, http.StatusRequestEntityTooLarge, err.Error())
 		} else {
-			writeErr(w, http.StatusBadRequest, "bad body: "+err.Error())
+			httpx.WriteErr(w, http.StatusBadRequest, "bad body: "+err.Error())
 		}
 		return nil, false
 	}
@@ -435,7 +431,7 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad vehicle id")
+		httpx.WriteErr(w, http.StatusBadRequest, "bad vehicle id")
 		return
 	}
 	node := rt.topo.Owner(id)
@@ -449,7 +445,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	res, err := rt.forward(r.Context(), node, http.MethodPost, r.URL.RequestURI(),
 		r.Header.Get("Content-Type"), body, false)
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, fmt.Sprintf("cluster: node %d: %v", node, err))
+		httpx.WriteErr(w, http.StatusBadGateway, fmt.Sprintf("cluster: node %d: %v", node, err))
 		return
 	}
 	relay(w, res)
@@ -461,7 +457,7 @@ func (rt *Router) handleForwardByID(key string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseUint(r.URL.Query().Get(key), 10, 64)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad or missing "+key)
+			httpx.WriteErr(w, http.StatusBadRequest, "bad or missing "+key)
 			return
 		}
 		node := rt.topo.Owner(id)
@@ -470,7 +466,7 @@ func (rt *Router) handleForwardByID(key string) http.HandlerFunc {
 		}
 		res, err := rt.forward(r.Context(), node, http.MethodGet, r.URL.RequestURI(), "", nil, true)
 		if err != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Sprintf("cluster: node %d: %v", node, err))
+			httpx.WriteErr(w, http.StatusBadGateway, fmt.Sprintf("cluster: node %d: %v", node, err))
 			return
 		}
 		relay(w, res)
@@ -539,10 +535,10 @@ func (rt *Router) scatterRange(w http.ResponseWriter, r *http.Request) {
 		merged = []uint64{}
 	}
 	if len(missing) == 0 {
-		writeJSON(w, http.StatusOK, map[string]any{"ids": merged})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"ids": merged})
 		return
 	}
-	writeJSON(w, http.StatusPartialContent, map[string]any{
+	httpx.WriteJSON(w, http.StatusPartialContent, map[string]any{
 		"ids": merged, "missing": missing, "partial": true,
 	})
 }
@@ -558,11 +554,11 @@ func (rt *Router) handleMinDistance(w http.ResponseWriter, r *http.Request) {
 	a, errA := strconv.ParseUint(q.Get("a"), 10, 64)
 	b, errB := strconv.ParseUint(q.Get("b"), 10, 64)
 	if errA != nil {
-		writeErr(w, http.StatusBadRequest, "bad or missing a")
+		httpx.WriteErr(w, http.StatusBadRequest, "bad or missing a")
 		return
 	}
 	if errB != nil {
-		writeErr(w, http.StatusBadRequest, "bad or missing b")
+		httpx.WriteErr(w, http.StatusBadRequest, "bad or missing b")
 		return
 	}
 	na, nb := rt.topo.Owner(a), rt.topo.Owner(b)
@@ -572,7 +568,7 @@ func (rt *Router) handleMinDistance(w http.ResponseWriter, r *http.Request) {
 	if na == nb {
 		res, err := rt.forward(r.Context(), na, http.MethodGet, r.URL.RequestURI(), "", nil, true)
 		if err != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Sprintf("cluster: node %d: %v", na, err))
+			httpx.WriteErr(w, http.StatusBadGateway, fmt.Sprintf("cluster: node %d: %v", na, err))
 			return
 		}
 		relay(w, res)
@@ -584,7 +580,7 @@ func (rt *Router) handleMinDistance(w http.ResponseWriter, r *http.Request) {
 	rec, err := rt.forward(r.Context(), nb, http.MethodGet,
 		"/v1/record?id="+strconv.FormatUint(b, 10), "", nil, true)
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, fmt.Sprintf("cluster: node %d: %v", nb, err))
+		httpx.WriteErr(w, http.StatusBadGateway, fmt.Sprintf("cluster: node %d: %v", nb, err))
 		return
 	}
 	if rec.status != http.StatusOK {
@@ -595,7 +591,7 @@ func (rt *Router) handleMinDistance(w http.ResponseWriter, r *http.Request) {
 		"/v1/mindistance?a="+strconv.FormatUint(a, 10),
 		"application/octet-stream", rec.body, true)
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, fmt.Sprintf("cluster: node %d: %v", na, err))
+		httpx.WriteErr(w, http.StatusBadGateway, fmt.Sprintf("cluster: node %d: %v", na, err))
 		return
 	}
 	relay(w, res)
@@ -608,7 +604,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			healthy++
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpx.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"uptime_s": int64(time.Since(rt.start).Seconds()),
 		"nodes":    len(rt.nodes),
@@ -629,5 +625,5 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if rt.isDraining() || healthy == 0 {
 		status, code = "not ready", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{"status": status, "healthy": healthy, "nodes": len(rt.nodes)})
+	httpx.WriteJSON(w, code, map[string]any{"status": status, "healthy": healthy, "nodes": len(rt.nodes)})
 }

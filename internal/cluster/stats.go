@@ -6,13 +6,13 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
+
+	"press/internal/httpx"
 )
 
 // nodeStatsJSON is one node's row in /v1/stats.
@@ -27,9 +27,9 @@ type nodeStatsJSON struct {
 }
 
 type routerStatsResponse struct {
-	Router   routerInfo                 `json:"router"`
-	Nodes    []nodeStatsJSON            `json:"nodes"`
-	Endpoint map[string]endpointSummary `json:"endpoints"`
+	Router   routerInfo               `json:"router"`
+	Nodes    []nodeStatsJSON          `json:"nodes"`
+	Endpoint map[string]httpx.Summary `json:"endpoints"`
 }
 
 type routerInfo struct {
@@ -72,12 +72,12 @@ func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 			UptimeSeconds: int64(time.Since(rt.start).Seconds()),
 		},
 		Nodes:    nodes,
-		Endpoint: make(map[string]endpointSummary, len(rt.metrics)),
+		Endpoint: make(map[string]httpx.Summary, len(rt.metrics)),
 	}
 	for name, m := range rt.metrics {
-		resp.Endpoint[name] = m.summary()
+		resp.Endpoint[name] = m.Summary()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -129,87 +129,20 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	sort.Strings(names)
 	fmt.Fprintf(&b, "# HELP press_requests_total Requests served per endpoint.\n# TYPE press_requests_total counter\n")
 	for _, name := range names {
-		fmt.Fprintf(&b, "press_requests_total{endpoint=%q} %d\n", name, rt.metrics[name].count.Load())
+		fmt.Fprintf(&b, "press_requests_total{endpoint=%q} %d\n", name, rt.metrics[name].Count())
 	}
 	fmt.Fprintf(&b, "# HELP press_request_errors_total Requests answered with status >= 400 per endpoint.\n# TYPE press_request_errors_total counter\n")
 	for _, name := range names {
-		fmt.Fprintf(&b, "press_request_errors_total{endpoint=%q} %d\n", name, rt.metrics[name].errs.Load())
+		fmt.Fprintf(&b, "press_request_errors_total{endpoint=%q} %d\n", name, rt.metrics[name].Errors())
 	}
 	fmt.Fprintf(&b, "# HELP press_http_request_seconds Request latency per endpoint.\n# TYPE press_http_request_seconds summary\n")
 	for _, name := range names {
 		m := rt.metrics[name]
-		fmt.Fprintf(&b, "press_http_request_seconds_sum{endpoint=%q} %g\n", name, float64(m.totalNS.Load())/1e9)
-		fmt.Fprintf(&b, "press_http_request_seconds_count{endpoint=%q} %d\n", name, m.count.Load())
+		fmt.Fprintf(&b, "press_http_request_seconds_sum{endpoint=%q} %g\n", name, m.Seconds())
+		fmt.Fprintf(&b, "press_http_request_seconds_count{endpoint=%q} %d\n", name, m.Count())
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte(b.String()))
-}
-
-// --- shared plumbing (mirrors internal/server's unexported helpers) ---
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-// statusWriter captures the response status for the endpoint metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// endpointMetrics are lock-free per-endpoint latency counters.
-type endpointMetrics struct {
-	count   atomic.Uint64
-	errs    atomic.Uint64
-	totalNS atomic.Int64
-	maxNS   atomic.Int64
-}
-
-func (m *endpointMetrics) observe(d time.Duration, status int) {
-	m.count.Add(1)
-	if status >= 400 {
-		m.errs.Add(1)
-	}
-	ns := d.Nanoseconds()
-	m.totalNS.Add(ns)
-	for {
-		cur := m.maxNS.Load()
-		if ns <= cur || m.maxNS.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// endpointSummary is the JSON view of one endpoint's counters.
-type endpointSummary struct {
-	Count  uint64 `json:"count"`
-	Errors uint64 `json:"errors"`
-	MeanUS int64  `json:"mean_us"`
-	MaxUS  int64  `json:"max_us"`
-}
-
-func (m *endpointMetrics) summary() endpointSummary {
-	n := m.count.Load()
-	s := endpointSummary{
-		Count:  n,
-		Errors: m.errs.Load(),
-		MaxUS:  m.maxNS.Load() / 1e3,
-	}
-	if n > 0 {
-		s.MeanUS = m.totalNS.Load() / int64(n) / 1e3
-	}
-	return s
 }

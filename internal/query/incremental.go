@@ -25,11 +25,11 @@ const DefaultBucketSeconds = 3600
 // records changes no answer. Upsert and Delete are O(1) — this is what a
 // stream flush calls, so a vehicle is queryable the moment its flush
 // returns, with no rebuild and no store scan. Queries prune in two stages
-// before any payload work: the bucket walk skips whole buckets outside the
-// time window, then per-entry summaries (time interval, then the summary
-// MBR against the query rectangle or point) reject candidates
-// individually; only survivors are verified exactly through the View
-// (which decompresses at most once per candidate, cached).
+// before any payload work: the bucket walk skips whole buckets whose time
+// bounds miss the window, then per-entry summaries (time interval, then
+// the summary MBR against the query rectangle or point) reject candidates
+// individually; only survivors are verified exactly through the View,
+// which reads and decodes each survivor's record once.
 //
 // Latency is governed by the number of summaries overlapping the query
 // window, not by total stored history: growing a store 100x by appending
@@ -57,7 +57,6 @@ type idxBucket struct {
 	// Actual bounds of the entries ever inserted (loose after removals —
 	// a superset, so pruning stays safe).
 	t0, t1  float64
-	mbr     geo.MBR
 	entries []idxEntry
 }
 
@@ -92,8 +91,8 @@ func (ix *IncrementalFleetIndex) bucketKey(t0 float64) int64 {
 }
 
 // Upsert inserts or replaces the vehicle's index entry. A nil summary is
-// resolved through the view (stored summary, memoized summary, or a
-// one-time decode). This is the flush hook: O(1) on the index itself.
+// resolved through the view (the stored summary, or one derived by a
+// decode). This is the flush hook: O(1) on the index itself.
 func (ix *IncrementalFleetIndex) Upsert(id uint64, sum *core.BoundingSummary) error {
 	if sum == nil {
 		var err error
@@ -128,7 +127,7 @@ func (ix *IncrementalFleetIndex) insertLocked(id uint64, sum core.BoundingSummar
 	key := ix.bucketKey(sum.T0)
 	b := ix.buckets[key]
 	if b == nil {
-		b = &idxBucket{t0: math.Inf(1), t1: math.Inf(-1), mbr: geo.EmptyMBR()}
+		b = &idxBucket{t0: math.Inf(1), t1: math.Inf(-1)}
 		ix.buckets[key] = b
 	}
 	if sum.T0 < b.t0 {
@@ -137,7 +136,6 @@ func (ix *IncrementalFleetIndex) insertLocked(id uint64, sum core.BoundingSummar
 	if sum.T1 > b.t1 {
 		b.t1 = sum.T1
 	}
-	b.mbr.ExtendMBR(sum.MBR)
 	b.entries = append(b.entries, idxEntry{id: id, sum: sum})
 	ix.byID[id] = idxPos{key: key, slot: len(b.entries) - 1}
 }
@@ -166,8 +164,8 @@ func (ix *IncrementalFleetIndex) removeLocked(id uint64) {
 
 // RefreshFromStore rebuilds the index's entry set from the store's record
 // metadata: one ScanMeta pass, no payload reads for records that persist
-// summaries (records stored without a summary are summarized once through
-// the view and memoized). This is the catch-up path when the store changed
+// summaries (records stored without a summary are decoded once through
+// the view to derive one). This is the catch-up path when the store changed
 // behind the index's back — external appends, deletes, a Compact swap —
 // detected via the store generation, not a per-flush cost.
 func (ix *IncrementalFleetIndex) RefreshFromStore(src MetaScanner) error {
@@ -214,10 +212,9 @@ func (ix *IncrementalFleetIndex) Len() int {
 	return len(ix.byID)
 }
 
-// candidatesFor walks the buckets overlapping [t1, t2], pruning whole
-// buckets by their time bounds only, then individual summaries: entries
-// failing the time overlap or keep are rejected without any payload work.
-// The bucket MBR is maintained but not consulted here.
+// candidatesFor walks the buckets, skipping whole buckets whose time
+// bounds miss [t1, t2], then filters individual summaries: entries failing
+// the time overlap or keep are rejected without any payload work.
 func (ix *IncrementalFleetIndex) candidatesFor(t1, t2 float64, keep func(*core.BoundingSummary) bool) []uint64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

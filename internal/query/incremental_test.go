@@ -11,7 +11,7 @@ import (
 	"press/internal/store"
 )
 
-// incFixture builds a sharded store with the fixture fleet, a cached view
+// incFixture builds a sharded store with the fixture fleet, a view
 // over it, and an incremental index refreshed from the store.
 func incFixture(t *testing.T, bucketSeconds float64) (*fixture, *store.ShardedStore, *View, *IncrementalFleetIndex) {
 	t.Helper()
@@ -27,7 +27,7 @@ func incFixture(t *testing.T, bucketSeconds float64) (*fixture, *store.ShardedSt
 			t.Fatal(err)
 		}
 	}
-	v, err := NewView(f.eng, st, NewCache(8<<20))
+	v, err := NewView(f.eng, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

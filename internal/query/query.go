@@ -167,31 +167,8 @@ func (c *cursor) next() (unit, bool, error) {
 	return piece, true, nil
 }
 
-// unitIter streams a trajectory's unit sequence. The lazy cursor and the
-// cached slice iterator both satisfy it, so every query body runs
-// unchanged over a fresh decode or a cache hit.
-type unitIter interface {
-	next() (unit, bool, error)
-}
-
-// sliceIter replays an already-materialized unit sequence — the cache-hit
-// path: no Huffman decoding, no trie walks.
-type sliceIter struct {
-	units []unit
-	i     int
-}
-
-func (s *sliceIter) next() (unit, bool, error) {
-	if s.i >= len(s.units) {
-		return unit{}, false, nil
-	}
-	u := s.units[s.i]
-	s.i++
-	return u, true, nil
-}
-
-// units materializes the full unit sequence (used by queries that must
-// consider every unit anyway, and by the decoded-record cache).
+// units materializes the full unit sequence, for the callers that visit
+// every unit anyway: MinDistance and View.summarize.
 func (e *Engine) units(ct *core.Compressed) ([]unit, error) {
 	cur := e.newCursor(ct)
 	var out []unit
@@ -342,15 +319,11 @@ func timLinear(ts traj.Temporal, d float64) float64 {
 // average per the paper's analysis.
 func (e *Engine) WhereAt(ct *core.Compressed, t float64) (geo.Point, error) {
 	cur := e.newCursor(ct)
-	return e.whereAtUnits(&cur, ct.Temporal, t)
-}
-
-func (e *Engine) whereAtUnits(it unitIter, ts traj.Temporal, t float64) (geo.Point, error) {
-	d := disLinear(ts, t)
+	d := disLinear(ct.Temporal, t)
 	var last unit
 	seen := false
 	for {
-		u, ok, err := it.next()
+		u, ok, err := cur.next()
 		if err != nil {
 			return geo.Point{}, err
 		}
@@ -385,14 +358,10 @@ func (e *Engine) whereAtUnits(it unitIter, ts traj.Temporal, t float64) (geo.Poi
 // is inverted. The answer deviates by at most the NSTD bound.
 func (e *Engine) WhenAt(ct *core.Compressed, p geo.Point) (float64, error) {
 	cur := e.newCursor(ct)
-	return e.whenAtUnits(&cur, ct.Temporal, p)
-}
-
-func (e *Engine) whenAtUnits(it unitIter, ts traj.Temporal, p geo.Point) (float64, error) {
 	bestDist := math.Inf(1)
 	var bestD float64
 	for {
-		u, ok, err := it.next()
+		u, ok, err := cur.next()
 		if err != nil {
 			return 0, err
 		}
@@ -419,24 +388,20 @@ func (e *Engine) whenAtUnits(it unitIter, ts traj.Temporal, p geo.Point) (float6
 	if math.IsInf(bestDist, 1) {
 		return 0, errors.New("query: point not locatable")
 	}
-	return timLinear(ts, bestD), nil
+	return timLinear(ct.Temporal, bestD), nil
 }
 
 // Range reports whether the trajectory passes through region r during
 // [t1, t2] (§5.3).
 func (e *Engine) Range(ct *core.Compressed, t1, t2 float64, r geo.MBR) (bool, error) {
 	cur := e.newCursor(ct)
-	return e.rangeUnits(&cur, ct.Temporal, t1, t2, r)
-}
-
-func (e *Engine) rangeUnits(it unitIter, ts traj.Temporal, t1, t2 float64, r geo.MBR) (bool, error) {
 	if t2 < t1 {
 		t1, t2 = t2, t1
 	}
-	d1 := disLinear(ts, t1)
-	d2 := disLinear(ts, t2)
+	d1 := disLinear(ct.Temporal, t1)
+	d2 := disLinear(ct.Temporal, t2)
 	for {
-		u, ok, err := it.next()
+		u, ok, err := cur.next()
 		if err != nil {
 			return false, err
 		}
@@ -468,17 +433,13 @@ func (e *Engine) rangeUnits(it unitIter, ts traj.Temporal, t1, t2 float64, r geo
 // [t1, t2] (§5.4 extension).
 func (e *Engine) PassesNear(ct *core.Compressed, p geo.Point, dist, t1, t2 float64) (bool, error) {
 	cur := e.newCursor(ct)
-	return e.passesNearUnits(&cur, ct.Temporal, p, dist, t1, t2)
-}
-
-func (e *Engine) passesNearUnits(it unitIter, ts traj.Temporal, p geo.Point, dist, t1, t2 float64) (bool, error) {
 	if t2 < t1 {
 		t1, t2 = t2, t1
 	}
-	d1 := disLinear(ts, t1)
-	d2 := disLinear(ts, t2)
+	d1 := disLinear(ct.Temporal, t1)
+	d2 := disLinear(ct.Temporal, t2)
 	for {
-		u, ok, err := it.next()
+		u, ok, err := cur.next()
 		if err != nil {
 			return false, err
 		}
@@ -518,10 +479,6 @@ func (e *Engine) MinDistance(a, b *core.Compressed) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.minDistanceUnits(ua, ub)
-}
-
-func (e *Engine) minDistanceUnits(ua, ub []unit) (float64, error) {
 	best := math.Inf(1)
 	plCache := map[int]geo.Polyline{}
 	polyline := func(us []unit, i int, off int) (geo.Polyline, error) {

@@ -12,7 +12,7 @@ import (
 
 // In-package query benchmarks, kept here so the CI benchsmoke pass
 // catches bit-rot: fleet range and per-flush upsert through the fleet
-// index, and single-vehicle queries cached vs uncached. The perf ledger
+// index, and a single-vehicle query through the view. The perf ledger
 // under bench/ measures the same paths end to end over HTTP (the query.*
 // and server.handler_us.* rows); these isolate the in-process costs.
 
@@ -60,10 +60,10 @@ func qbWindow(f *fixture, rng *rand.Rand) (float64, float64, geo.MBR) {
 }
 
 // BenchmarkFleetRangeIncremental is a fleet range query through the
-// fleet index: summary pruning plus cached verification.
+// fleet index: summary pruning plus exact verification.
 func BenchmarkFleetRangeIncremental(b *testing.B) {
 	f, st := qbSetup(b)
-	v, err := NewView(f.eng, st, NewCache(16<<20))
+	v, err := NewView(f.eng, st, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func BenchmarkFleetRangeIncremental(b *testing.B) {
 // in-place upsert, no store scan.
 func BenchmarkIncrementalUpsert(b *testing.B) {
 	f, st := qbSetup(b)
-	v, err := NewView(f.eng, st, NewCache(16<<20))
+	v, err := NewView(f.eng, st, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,27 +105,9 @@ func BenchmarkIncrementalUpsert(b *testing.B) {
 	}
 }
 
-// BenchmarkViewWhereAtCached answers a hot single-vehicle query from the
-// decoded-record cache (no FST decode after the first hit).
-func BenchmarkViewWhereAtCached(b *testing.B) {
-	f, st := qbSetup(b)
-	v, err := NewView(f.eng, st, NewCache(16<<20))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := uint64(rng.Intn(len(f.cts)))
-		if _, err := v.WhereAt(id, rng.Float64()*400); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkViewWhereAtUncached pays the full store read + FST decode per
-// query — what the cache saves.
-func BenchmarkViewWhereAtUncached(b *testing.B) {
+// BenchmarkViewWhereAt is one single-vehicle query through the view: a
+// store read plus the engine's lazy decode.
+func BenchmarkViewWhereAt(b *testing.B) {
 	f, st := qbSetup(b)
 	v, err := NewView(f.eng, st, nil)
 	if err != nil {

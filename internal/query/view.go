@@ -29,143 +29,93 @@ type MetaScanner interface {
 	ScanMeta(fn func(id uint64, rev uint64, sum *core.BoundingSummary) error) error
 }
 
-// View answers the §5 queries by vehicle id, straight off the store: it
-// fetches the latest record, decodes it once into the unit sequence, and
-// (when a Cache is attached) keeps hot vehicles decoded so repeated
-// queries never touch the FST again. Revision pinning makes a cached
-// answer indistinguishable from a cache-bypassed one: any re-append of
-// the id changes the revision and invalidates the entry. A View is safe
-// for concurrent use.
+// View answers the §5 queries by vehicle id, straight off the store: each
+// query fetches the vehicle's latest record and hands it to the Engine,
+// which decodes trie nodes lazily and stops as soon as the answer is known.
+// The View holds no decoded state, so a re-appended vehicle is answered
+// from its new record on the very next query. A View is safe for
+// concurrent use.
 type View struct {
-	eng   *Engine
-	src   RecordSource
-	cache *Cache // nil = no caching
+	eng *Engine
+	src RecordSource
 
-	decodes atomic.Uint64 // records fully decoded (i.e. cache misses or bypass)
+	decodes atomic.Uint64 // records fetched and handed to the engine
 }
 
-// NewView assembles a view; cache may be nil to disable caching.
-func NewView(eng *Engine, src RecordSource, cache *Cache) (*View, error) {
+// NewView assembles a view. The *Cache argument is ignored (see compat.go).
+func NewView(eng *Engine, src RecordSource, _ *Cache) (*View, error) {
 	if eng == nil || src == nil {
 		return nil, errors.New("query: nil engine or record source")
 	}
-	return &View{eng: eng, src: src, cache: cache}, nil
+	return &View{eng: eng, src: src}, nil
 }
 
 // Engine returns the underlying compressed-domain engine.
 func (v *View) Engine() *Engine { return v.eng }
 
-// Decodes returns how many records this view fully decoded (cache misses
-// plus cache-off fetches) — the work the cache exists to avoid.
+// Decodes returns how many records this view fetched and decoded: one per
+// single-vehicle query, two per MinDistance.
 func (v *View) Decodes() uint64 { return v.decodes.Load() }
 
-// CacheStats snapshots the attached cache's counters (zeroes when no
-// cache is attached).
-func (v *View) CacheStats() CacheStats { return v.cache.Stats() }
-
-// record returns the vehicle's decoded state, from cache when possible.
-func (v *View) record(id uint64) (*decodedRecord, error) {
-	if v.cache != nil {
-		rev, _, err := v.src.StatRecord(id)
-		if err != nil {
-			return nil, err
-		}
-		if d, ok := v.cache.getDecoded(id, rev); ok {
-			return d, nil
-		}
-	}
+// record fetches the vehicle's latest record and its revision.
+func (v *View) record(id uint64) (*core.Compressed, uint64, error) {
 	ct, rev, err := v.src.GetRecord(id)
 	if err != nil {
-		return nil, err
-	}
-	units, err := v.eng.units(ct)
-	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	v.decodes.Add(1)
-	d := &decodedRecord{rev: rev, units: units, temporal: ct.Temporal}
-	if ct.Summary != nil {
-		d.sum = ct.Summary
-	} else if d.sum, err = v.summarize(d); err != nil {
-		return nil, err
-	}
-	v.cache.putDecoded(id, d)
-	return d, nil
+	return ct, rev, nil
 }
 
-// WhereAt answers §5.1 for the vehicle's latest record. Identical repeated
-// requests are served from the result memo: the key embeds the record
-// revision, so a hit is exactly the answer a fresh decode would produce.
+// WhereAt answers §5.1 for the vehicle's latest record.
 func (v *View) WhereAt(id uint64, t float64) (geo.Point, error) {
-	if v.cache != nil {
-		if rev, _, err := v.src.StatRecord(id); err == nil {
-			if x, y, qerr, ok := v.cache.getResult(resultKey{id: id, rev: rev, kind: resultWhereAt, a: t}); ok {
-				return geo.Point{X: x, Y: y}, qerr
-			}
-		}
-	}
-	d, err := v.record(id)
+	ct, _, err := v.record(id)
 	if err != nil {
 		return geo.Point{}, err
 	}
-	pt, qerr := v.eng.whereAtUnits(&sliceIter{units: d.units}, d.temporal, t)
-	// Memoize under the revision the answer was actually computed from
-	// (d.rev), not the one the probe above observed — a concurrent append
-	// between the two must not publish this answer under the newer key.
-	v.cache.putResult(resultKey{id: id, rev: d.rev, kind: resultWhereAt, a: t}, pt.X, pt.Y, qerr)
-	return pt, qerr
+	return v.eng.WhereAt(ct, t)
 }
 
-// WhenAt answers §5.2 for the vehicle's latest record, memoized like
-// WhereAt.
+// WhenAt answers §5.2 for the vehicle's latest record.
 func (v *View) WhenAt(id uint64, p geo.Point) (float64, error) {
-	if v.cache != nil {
-		if rev, _, err := v.src.StatRecord(id); err == nil {
-			if x, _, qerr, ok := v.cache.getResult(resultKey{id: id, rev: rev, kind: resultWhenAt, a: p.X, b: p.Y}); ok {
-				return x, qerr
-			}
-		}
-	}
-	d, err := v.record(id)
+	ct, _, err := v.record(id)
 	if err != nil {
 		return 0, err
 	}
-	t, qerr := v.eng.whenAtUnits(&sliceIter{units: d.units}, d.temporal, p)
-	v.cache.putResult(resultKey{id: id, rev: d.rev, kind: resultWhenAt, a: p.X, b: p.Y}, t, 0, qerr)
-	return t, qerr
+	return v.eng.WhenAt(ct, p)
 }
 
 // Range answers §5.3 for the vehicle's latest record.
 func (v *View) Range(id uint64, t1, t2 float64, r geo.MBR) (bool, error) {
-	d, err := v.record(id)
+	ct, _, err := v.record(id)
 	if err != nil {
 		return false, err
 	}
-	return v.eng.rangeUnits(&sliceIter{units: d.units}, d.temporal, t1, t2, r)
+	return v.eng.Range(ct, t1, t2, r)
 }
 
 // PassesNear answers the §5.4 nearby predicate for the vehicle's latest
 // record.
 func (v *View) PassesNear(id uint64, p geo.Point, dist, t1, t2 float64) (bool, error) {
-	d, err := v.record(id)
+	ct, _, err := v.record(id)
 	if err != nil {
 		return false, err
 	}
-	return v.eng.passesNearUnits(&sliceIter{units: d.units}, d.temporal, p, dist, t1, t2)
+	return v.eng.PassesNear(ct, p, dist, t1, t2)
 }
 
 // MinDistance answers the §5.4 trajectory-distance extension between two
 // vehicles' latest records.
 func (v *View) MinDistance(a, b uint64) (float64, error) {
-	da, err := v.record(a)
+	ca, _, err := v.record(a)
 	if err != nil {
 		return 0, err
 	}
-	db, err := v.record(b)
+	cb, _, err := v.record(b)
 	if err != nil {
 		return 0, err
 	}
-	return v.eng.minDistanceUnits(da.units, db.units)
+	return v.eng.MinDistance(ca, cb)
 }
 
 // MinDistanceWith answers MinDistance when the second trajectory is not in
@@ -174,46 +124,40 @@ func (v *View) MinDistance(a, b uint64) (float64, error) {
 // order matches MinDistance(a, b): id is a, other is b, so a routed answer
 // is identical to the single-node one.
 func (v *View) MinDistanceWith(id uint64, other *core.Compressed) (float64, error) {
-	da, err := v.record(id)
+	ct, _, err := v.record(id)
 	if err != nil {
 		return 0, err
 	}
-	units, err := v.eng.units(other)
-	if err != nil {
-		return 0, err
-	}
-	return v.eng.minDistanceUnits(da.units, units)
+	return v.eng.MinDistance(ct, other)
 }
 
 // Summary returns the vehicle's BoundingSummary and the revision it
-// belongs to, the cheapest way possible: the store's persisted summary if
-// the record has one, then the memoized-summary cache, and only as a last
-// resort a full decode (which is then cached, decoded units included).
+// belongs to: the store's persisted summary when the record has one,
+// without reading the payload; otherwise one derived by decoding the
+// record.
 func (v *View) Summary(id uint64) (uint64, *core.BoundingSummary, error) {
 	rev, sum, err := v.src.StatRecord(id)
+	if err != nil || sum != nil {
+		return rev, sum, err
+	}
+	ct, rev, err := v.record(id)
 	if err != nil {
 		return 0, nil, err
 	}
-	if sum != nil {
-		return rev, sum, nil
-	}
-	if s, ok := v.cache.getSummary(id, rev); ok {
-		return rev, s, nil
-	}
-	d, err := v.record(id)
-	if err != nil {
-		return 0, nil, err
-	}
-	v.cache.putSummary(id, d.rev, d.sum)
-	return d.rev, d.sum, nil
+	sum, err = v.summarize(ct)
+	return rev, sum, err
 }
 
-// summarize derives a summary from decoded units: the union of the unit
+// summarize derives a summary from a record's units: the union of the unit
 // MBRs (the same point set as the full path geometry) plus the temporal
 // bounds.
-func (v *View) summarize(d *decodedRecord) (*core.BoundingSummary, error) {
+func (v *View) summarize(ct *core.Compressed) (*core.BoundingSummary, error) {
+	units, err := v.eng.units(ct)
+	if err != nil {
+		return nil, err
+	}
 	m := geo.EmptyMBR()
-	for _, u := range d.units {
+	for _, u := range units {
 		um, err := v.eng.mbrOf(u)
 		if err != nil {
 			return nil, err
@@ -221,8 +165,8 @@ func (v *View) summarize(d *decodedRecord) (*core.BoundingSummary, error) {
 		m.ExtendMBR(um)
 	}
 	s := &core.BoundingSummary{MBR: m, T0: math.Inf(1), T1: math.Inf(-1)}
-	if n := len(d.temporal); n > 0 {
-		s.T0, s.T1 = d.temporal[0].T, d.temporal[n-1].T
+	if n := len(ct.Temporal); n > 0 {
+		s.T0, s.T1 = ct.Temporal[0].T, ct.Temporal[n-1].T
 	}
 	return s, nil
 }

@@ -17,6 +17,7 @@ import (
 	"net/http"
 
 	"press/internal/core"
+	"press/internal/httpx"
 	"press/internal/store"
 )
 
@@ -65,7 +66,7 @@ type misroutedResponse struct {
 func (s *Server) writeMisrouted(w http.ResponseWriter, id uint64) {
 	c := s.cfg.Cluster
 	owner := store.ShardOf(id, c.Nodes)
-	writeJSON(w, http.StatusMisdirectedRequest, misroutedResponse{
+	httpx.WriteJSON(w, http.StatusMisdirectedRequest, misroutedResponse{
 		Error: fmt.Sprintf("vehicle %d belongs to node %d (this is node %d of %d)",
 			id, owner, c.NodeIndex, c.Nodes),
 		Owner: owner,
@@ -106,7 +107,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		resp["node"] = c.NodeIndex
 		resp["nodes"] = c.Nodes
 	}
-	writeJSON(w, code, resp)
+	httpx.WriteJSON(w, code, resp)
 }
 
 // handleRecord serves GET /v1/record?id=: the vehicle's latest stored
@@ -149,15 +150,15 @@ func (s *Server) handleMinDistanceWith(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, err.Error())
+			httpx.WriteErr(w, http.StatusRequestEntityTooLarge, err.Error())
 			return
 		}
-		writeErr(w, http.StatusBadRequest, "bad record body: "+err.Error())
+		httpx.WriteErr(w, http.StatusBadRequest, "bad record body: "+err.Error())
 		return
 	}
 	other, err := core.UnmarshalCompressed(body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad record body: "+err.Error())
+		httpx.WriteErr(w, http.StatusBadRequest, "bad record body: "+err.Error())
 		return
 	}
 	d, err := s.view.MinDistanceWith(a, other)
@@ -165,7 +166,7 @@ func (s *Server) handleMinDistanceWith(w http.ResponseWriter, r *http.Request) {
 		writeQueryErr(w, a, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{"distance": d})
+	httpx.WriteJSON(w, http.StatusOK, map[string]float64{"distance": d})
 }
 
 // Checkpoint flushes every open ingest session to the store without

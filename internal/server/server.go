@@ -75,6 +75,7 @@ import (
 
 	"press/internal/core"
 	"press/internal/geo"
+	"press/internal/httpx"
 	"press/internal/query"
 	"press/internal/roadnet"
 	"press/internal/store"
@@ -118,9 +119,8 @@ type Options struct {
 	// Stream tunes the per-vehicle session layer (idle auto-flush, memory
 	// cap, sweep cadence). See stream.Options.
 	Stream stream.Options
-	// QueryCacheBytes bounds the query layer's LRU of decoded trajectories
-	// and memoized summaries. 0 selects DefaultQueryCacheBytes; negative
-	// disables caching entirely.
+	// Deprecated: bench/ compatibility only; ignored (the query view holds
+	// no cache).
 	QueryCacheBytes int
 	// MaxFrameBytes caps a single binary wire frame's payload on the ingest
 	// endpoints (see internal/wire); 0 selects wire.DefaultMaxPayload
@@ -134,8 +134,9 @@ type Options struct {
 	Cluster ClusterOptions
 }
 
-// DefaultQueryCacheBytes is the decoded-trajectory cache budget when
-// Options.QueryCacheBytes is zero: enough for a few thousand hot vehicles.
+// DefaultQueryCacheBytes was the retired query cache's default budget.
+//
+// Deprecated: bench/ compatibility only.
 const DefaultQueryCacheBytes = 32 << 20
 
 // Config assembles a Server from its components. Engine, Compressor and
@@ -169,8 +170,7 @@ type Server struct {
 	httpSrv  *http.Server
 	ready    atomic.Bool // /readyz bit; SetReady flips it ahead of a drain
 
-	view  *query.View  // single-vehicle queries + index verification
-	cache *query.Cache // nil = caching disabled
+	view *query.View // single-vehicle queries + index verification
 
 	// Binary wire-protocol counters (see wire.go).
 	maxFrame   int
@@ -186,7 +186,7 @@ type Server struct {
 	incGen  atomic.Uint64
 	applied atomic.Uint64 // flush records applied to the index
 
-	metrics map[string]*endpointMetrics
+	metrics map[string]*httpx.Metrics
 }
 
 // New assembles a server. ctx is the hard-stop lifetime handed to the
@@ -211,14 +211,9 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		st:      cfg.Store,
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
-		metrics: make(map[string]*endpointMetrics),
+		metrics: make(map[string]*httpx.Metrics),
 	}
-	cacheBytes := cfg.QueryCacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = DefaultQueryCacheBytes
-	}
-	s.cache = query.NewCache(cacheBytes) // nil when negative = cache off
-	view, err := query.NewView(cfg.Engine, cfg.Store, s.cache)
+	view, err := query.NewView(cfg.Engine, cfg.Store, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -298,15 +293,15 @@ func (s *Server) bound(h http.HandlerFunc) http.HandlerFunc {
 			case s.sem <- struct{}{}:
 				defer func() { <-s.sem }()
 			case <-r.Context().Done():
-				writeErr(w, http.StatusServiceUnavailable, "request cancelled while queued")
+				httpx.WriteErr(w, http.StatusServiceUnavailable, "request cancelled while queued")
 				return
 			case <-s.hctx.Done():
-				writeErr(w, http.StatusServiceUnavailable, "server draining")
+				httpx.WriteErr(w, http.StatusServiceUnavailable, "server draining")
 				return
 			}
 		}
 		if s.isDraining() {
-			writeErr(w, http.StatusServiceUnavailable, "server draining")
+			httpx.WriteErr(w, http.StatusServiceUnavailable, "server draining")
 			return
 		}
 		h(w, r)
@@ -315,14 +310,9 @@ func (s *Server) bound(h http.HandlerFunc) http.HandlerFunc {
 
 // instrument wraps h with per-endpoint latency/error counters for /v1/stats.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	m := &endpointMetrics{}
+	m := &httpx.Metrics{}
 	s.metrics[name] = m
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		t0 := time.Now()
-		h(sw, r)
-		m.observe(time.Since(t0), sw.status)
-	}
+	return m.Instrument(h)
 }
 
 func (s *Server) isDraining() bool {
@@ -497,7 +487,7 @@ func ingestStatus(err error) int {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad vehicle id")
+		httpx.WriteErr(w, http.StatusBadRequest, "bad vehicle id")
 		return
 	}
 	if !s.checkOwner(w, id) {
@@ -516,10 +506,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &tooBig) {
 			// Over the per-request cap is "split your batch", not a
 			// malformed request — same family as the session cap's 413.
-			writeErr(w, http.StatusRequestEntityTooLarge, err.Error())
+			httpx.WriteErr(w, http.StatusRequestEntityTooLarge, err.Error())
 			return
 		}
-		writeErr(w, http.StatusBadRequest, "bad body: "+err.Error())
+		httpx.WriteErr(w, http.StatusBadRequest, "bad body: "+err.Error())
 		return
 	}
 	// One request is one JSON object: trailing bytes (a concatenated second
@@ -528,13 +518,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// here. json.Decoder stops at the first complete value, so probe for a
 	// clean EOF explicitly.
 	if _, err := dec.Token(); err != io.EOF {
-		writeErr(w, http.StatusBadRequest, "bad body: trailing data after request object")
+		httpx.WriteErr(w, http.StatusBadRequest, "bad body: trailing data after request object")
 		return
 	}
 	resp := ingestResponse{}
 	for _, p := range req.Points {
 		if p.Edge != nil && (*p.Edge < 0 || *p.Edge > math.MaxInt32) {
-			writeJSON(w, http.StatusBadRequest, ingestResponse{
+			httpx.WriteJSON(w, http.StatusBadRequest, ingestResponse{
 				Accepted: resp.Accepted, Error: fmt.Sprintf("edge %d is not an edge id", *p.Edge),
 			})
 			return
@@ -548,7 +538,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		case p.Sample != nil:
 			err = s.mgr.PushSample(id, p.Sample.entry())
 		default:
-			writeJSON(w, http.StatusBadRequest, ingestResponse{
+			httpx.WriteJSON(w, http.StatusBadRequest, ingestResponse{
 				Accepted: resp.Accepted, Error: "point has neither edge nor sample",
 			})
 			return
@@ -562,7 +552,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				resp.Accepted++
 				resp.Flushed = true
 			}
-			writeJSON(w, status, resp)
+			httpx.WriteJSON(w, status, resp)
 			return
 		}
 		resp.Accepted++
@@ -575,12 +565,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				// Flush cannot breach the cap; never map it to 413.
 				status = http.StatusInternalServerError
 			}
-			writeJSON(w, status, resp)
+			httpx.WriteJSON(w, status, resp)
 			return
 		}
 		resp.Flushed = true
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (m *sampleMsg) entry() traj.Entry { return traj.Entry{D: m.D, T: m.T} }
@@ -602,7 +592,7 @@ func (s *Server) handleWhereAt(w http.ResponseWriter, r *http.Request) {
 		writeQueryErr(w, id, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{"x": p.X, "y": p.Y})
+	httpx.WriteJSON(w, http.StatusOK, map[string]float64{"x": p.X, "y": p.Y})
 }
 
 func (s *Server) handleWhenAt(w http.ResponseWriter, r *http.Request) {
@@ -626,7 +616,7 @@ func (s *Server) handleWhenAt(w http.ResponseWriter, r *http.Request) {
 		writeQueryErr(w, id, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{"t": t})
+	httpx.WriteJSON(w, http.StatusOK, map[string]float64{"t": t})
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
@@ -648,18 +638,18 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		// run the exact Range predicate. Ids come back ascending.
 		idx, err := s.fleetIndex()
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err.Error())
+			httpx.WriteErr(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		ids, err := idx.RangeIDs(t1, t2, mbr)
 		if err != nil {
-			writeErr(w, http.StatusUnprocessableEntity, err.Error())
+			httpx.WriteErr(w, http.StatusUnprocessableEntity, err.Error())
 			return
 		}
 		if ids == nil {
 			ids = []uint64{}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ids": ids})
+		httpx.WriteJSON(w, http.StatusOK, map[string]any{"ids": ids})
 		return
 	}
 	id, ok := s.vehicleID(w, r, "id")
@@ -674,7 +664,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeQueryErr(w, id, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"hit": hit})
+	httpx.WriteJSON(w, http.StatusOK, map[string]bool{"hit": hit})
 }
 
 func (s *Server) handleMinDistance(w http.ResponseWriter, r *http.Request) {
@@ -701,7 +691,7 @@ func (s *Server) handleMinDistance(w http.ResponseWriter, r *http.Request) {
 		writeQueryErr(w, id, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{"distance": d})
+	httpx.WriteJSON(w, http.StatusOK, map[string]float64{"distance": d})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -711,7 +701,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	httpx.WriteJSON(w, code, map[string]any{
 		"status":   status,
 		"uptime_s": int64(time.Since(s.start).Seconds()),
 	})
@@ -719,23 +709,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // statsResponse is the /v1/stats document.
 type statsResponse struct {
-	SP       *SPInfo                    `json:"sp,omitempty"`
-	Cluster  *clusterStats              `json:"cluster,omitempty"`
-	Sessions sessionStats               `json:"sessions"`
-	Store    storeStats                 `json:"store"`
-	Query    queryStats                 `json:"query"`
-	Index    indexInfo                  `json:"index"`
-	Wire     wireStats                  `json:"wire"`
-	Server   serverStats                `json:"server"`
-	Endpoint map[string]endpointSummary `json:"endpoints"`
+	SP       *SPInfo                  `json:"sp,omitempty"`
+	Cluster  *clusterStats            `json:"cluster,omitempty"`
+	Sessions sessionStats             `json:"sessions"`
+	Store    storeStats               `json:"store"`
+	Query    queryStats               `json:"query"`
+	Index    indexInfo                `json:"index"`
+	Wire     wireStats                `json:"wire"`
+	Server   serverStats              `json:"server"`
+	Endpoint map[string]httpx.Summary `json:"endpoints"`
 }
 
-// queryStats surfaces the cache hierarchy: LRU counters plus the number of
-// full decodes the view performed (the work a cache hit skips).
+// queryStats counts the records the view fetched and decoded: one per
+// single-vehicle query or verified fleet candidate.
 type queryStats struct {
-	CacheEnabled bool             `json:"cache_enabled"`
-	Cache        query.CacheStats `json:"cache"`
-	Decodes      uint64           `json:"decodes"`
+	Decodes uint64 `json:"decodes"`
 }
 
 // indexInfo describes the fleet index: its size, the flush records
@@ -793,11 +781,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Shards:  s.st.Shards(),
 			Bytes:   s.st.SizeBytes(),
 		},
-		Query: queryStats{
-			CacheEnabled: s.cache != nil,
-			Cache:        s.view.CacheStats(),
-			Decodes:      s.view.Decodes(),
-		},
+		Query: queryStats{Decodes: s.view.Decodes()},
 		Index: s.indexInfo(),
 		Wire:  s.wireInfo(),
 		Server: serverStats{
@@ -805,7 +789,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			MaxConcurrent: cap(s.sem),
 			UptimeSeconds: int64(time.Since(s.start).Seconds()),
 		},
-		Endpoint: make(map[string]endpointSummary, len(s.metrics)),
+		Endpoint: make(map[string]httpx.Summary, len(s.metrics)),
 	}
 	if s.cfg.SPInfo != nil {
 		info := s.cfg.SPInfo()
@@ -815,9 +799,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		resp.Cluster = &clusterStats{Node: c.NodeIndex, Nodes: c.Nodes, Ready: s.Ready()}
 	}
 	for name, m := range s.metrics {
-		resp.Endpoint[name] = m.summary()
+		resp.Endpoint[name] = m.Summary()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpx.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMetrics is the Prometheus text exposition (version 0.0.4) of the
@@ -855,18 +839,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("press_store_bytes", "Fleet store size on disk.", float64(s.st.SizeBytes()))
 	gauge("press_store_generation", "Store mutation generation counter.", float64(s.st.Generation()))
 
-	cs := s.view.CacheStats()
-	counter("press_query_cache_hits_total", "Decoded-record cache hits.", cs.Hits)
-	counter("press_query_cache_misses_total", "Decoded-record cache misses.", cs.Misses)
-	counter("press_query_cache_summary_hits_total", "Memoized-summary cache hits.", cs.SummaryHits)
-	counter("press_query_cache_summary_misses_total", "Memoized-summary cache misses.", cs.SummaryMisses)
-	counter("press_query_cache_evictions_total", "Cache entries evicted.", cs.Evictions)
-	gauge("press_query_cache_entries", "Entries resident in the query cache.", float64(cs.Entries))
-	gauge("press_query_cache_bytes", "Estimated bytes resident in the query cache.", float64(cs.Bytes))
-	counter("press_query_result_cache_hits_total", "Memoized whereat/whenat result hits.", cs.ResultHits)
-	counter("press_query_result_cache_misses_total", "Memoized whereat/whenat result misses.", cs.ResultMisses)
-	gauge("press_query_result_cache_entries", "Entries resident in the result memo.", float64(cs.ResultEntries))
-	counter("press_query_decodes_total", "Records fully decoded by the query view.", s.view.Decodes())
+	counter("press_query_decodes_total", "Records read and decoded by the query view.", s.view.Decodes())
 
 	idx := s.indexInfo()
 	gauge("press_fleet_index_entries", "Vehicles in the fleet index.", float64(idx.Len))
@@ -891,15 +864,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	sort.Strings(names)
 	fmt.Fprintf(&b, "# HELP press_requests_total Requests served per endpoint.\n# TYPE press_requests_total counter\n")
 	for _, name := range names {
-		fmt.Fprintf(&b, "press_requests_total{endpoint=%q} %d\n", name, s.metrics[name].count.Load())
+		fmt.Fprintf(&b, "press_requests_total{endpoint=%q} %d\n", name, s.metrics[name].Count())
 	}
 	fmt.Fprintf(&b, "# HELP press_request_errors_total Requests answered with status >= 400 per endpoint.\n# TYPE press_request_errors_total counter\n")
 	for _, name := range names {
-		fmt.Fprintf(&b, "press_request_errors_total{endpoint=%q} %d\n", name, s.metrics[name].errs.Load())
+		fmt.Fprintf(&b, "press_request_errors_total{endpoint=%q} %d\n", name, s.metrics[name].Errors())
 	}
 	fmt.Fprintf(&b, "# HELP press_request_duration_seconds_sum Cumulative request latency per endpoint.\n# TYPE press_request_duration_seconds_sum counter\n")
 	for _, name := range names {
-		fmt.Fprintf(&b, "press_request_duration_seconds_sum{endpoint=%q} %g\n", name, float64(s.metrics[name].totalNS.Load())/1e9)
+		fmt.Fprintf(&b, "press_request_duration_seconds_sum{endpoint=%q} %g\n", name, s.metrics[name].Seconds())
 	}
 	// The same latency counters as a proper summary (sum/count pairs), so
 	// node and router latencies are comparable under one metric name and
@@ -908,8 +881,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "# HELP press_http_request_seconds Request latency per endpoint.\n# TYPE press_http_request_seconds summary\n")
 	for _, name := range names {
 		m := s.metrics[name]
-		fmt.Fprintf(&b, "press_http_request_seconds_sum{endpoint=%q} %g\n", name, float64(m.totalNS.Load())/1e9)
-		fmt.Fprintf(&b, "press_http_request_seconds_count{endpoint=%q} %d\n", name, m.count.Load())
+		fmt.Fprintf(&b, "press_http_request_seconds_sum{endpoint=%q} %g\n", name, m.Seconds())
+		fmt.Fprintf(&b, "press_http_request_seconds_count{endpoint=%q} %d\n", name, m.Count())
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -921,7 +894,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) vehicleID(w http.ResponseWriter, r *http.Request, key string) (uint64, bool) {
 	id, err := strconv.ParseUint(r.URL.Query().Get(key), 10, 64)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad or missing "+key)
+		httpx.WriteErr(w, http.StatusBadRequest, "bad or missing "+key)
 		return 0, false
 	}
 	return id, true
@@ -932,11 +905,11 @@ func (s *Server) vehicleID(w http.ResponseWriter, r *http.Request, key string) (
 func writeQueryErr(w http.ResponseWriter, id uint64, err error) {
 	switch {
 	case errors.Is(err, store.ErrNotFound):
-		writeErr(w, http.StatusNotFound, fmt.Sprintf("vehicle %d has no stored trajectory", id))
+		httpx.WriteErr(w, http.StatusNotFound, fmt.Sprintf("vehicle %d has no stored trajectory", id))
 	case errors.Is(err, store.ErrCorrupt), errors.Is(err, store.ErrBadLayout):
-		writeErr(w, http.StatusInternalServerError, err.Error())
+		httpx.WriteErr(w, http.StatusInternalServerError, err.Error())
 	default:
-		writeErr(w, http.StatusUnprocessableEntity, err.Error())
+		httpx.WriteErr(w, http.StatusUnprocessableEntity, err.Error())
 	}
 }
 
@@ -947,7 +920,7 @@ func writeQueryErr(w http.ResponseWriter, id uint64, err error) {
 func parseFloat(w http.ResponseWriter, r *http.Request, key string) (float64, bool) {
 	v, err := strconv.ParseFloat(r.URL.Query().Get(key), 64)
 	if err != nil || math.IsNaN(v) {
-		writeErr(w, http.StatusBadRequest, "bad or missing "+key)
+		httpx.WriteErr(w, http.StatusBadRequest, "bad or missing "+key)
 		return 0, false
 	}
 	return v, true
@@ -971,69 +944,4 @@ func parseMBR(w http.ResponseWriter, r *http.Request) (geo.MBR, bool) {
 		return geo.MBR{}, false
 	}
 	return geo.NewMBR(geo.Point{X: xmin, Y: ymin}, geo.Point{X: xmax, Y: ymax}), true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-// statusWriter captures the response status for the endpoint metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// endpointMetrics are lock-free per-endpoint latency counters.
-type endpointMetrics struct {
-	count   atomic.Uint64
-	errs    atomic.Uint64
-	totalNS atomic.Int64
-	maxNS   atomic.Int64
-}
-
-func (m *endpointMetrics) observe(d time.Duration, status int) {
-	m.count.Add(1)
-	if status >= 400 {
-		m.errs.Add(1)
-	}
-	ns := d.Nanoseconds()
-	m.totalNS.Add(ns)
-	for {
-		cur := m.maxNS.Load()
-		if ns <= cur || m.maxNS.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// endpointSummary is the JSON view of one endpoint's counters.
-type endpointSummary struct {
-	Count  uint64 `json:"count"`
-	Errors uint64 `json:"errors"`
-	MeanUS int64  `json:"mean_us"`
-	MaxUS  int64  `json:"max_us"`
-}
-
-func (m *endpointMetrics) summary() endpointSummary {
-	n := m.count.Load()
-	s := endpointSummary{
-		Count:  n,
-		Errors: m.errs.Load(),
-		MaxUS:  m.maxNS.Load() / 1e3,
-	}
-	if n > 0 {
-		s.MeanUS = m.totalNS.Load() / int64(n) / 1e3
-	}
-	return s
 }

@@ -614,19 +614,6 @@ func TestShutdownUnderLoadDrains(t *testing.T) {
 // queryStatsDoc mirrors the query/index sections added to /v1/stats.
 type queryStatsDoc struct {
 	Query struct {
-		CacheEnabled bool `json:"cache_enabled"`
-		Cache        struct {
-			Hits      uint64 `json:"hits"`
-			Misses    uint64 `json:"misses"`
-			Evictions uint64 `json:"evictions"`
-			Entries   int    `json:"entries"`
-			Bytes     int64  `json:"bytes"`
-			MaxBytes  int64  `json:"max_bytes"`
-
-			ResultHits    uint64 `json:"result_hits"`
-			ResultMisses  uint64 `json:"result_misses"`
-			ResultEntries int    `json:"result_entries"`
-		} `json:"cache"`
 		Decodes uint64 `json:"decodes"`
 	} `json:"query"`
 	Index struct {
@@ -921,8 +908,9 @@ func TestNaNQueryArgumentRefused(t *testing.T) {
 	}
 }
 
-// A repeated single-vehicle query must be served from the decoded-record
-// cache: the second request reports a cache hit and no extra decode.
+// A warm query costs what a cold one does: the view holds no decoded
+// state, so every single-vehicle read, repeated or not, reports exactly one
+// decode, and the query section reports nothing but that count.
 func TestWarmQueryReportsCacheHit(t *testing.T) {
 	fxt := getFixture(t)
 	st, err := press.CreateShardedFleetStore(t.TempDir()+"/fleet", 4)
@@ -947,65 +935,44 @@ func TestWarmQueryReportsCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	temporal := fxt.ds.Truth[0].Temporal
-	tq := temporal[0].T
-	url := ts.URL + "/v1/whereat?id=7&t=" + f(tq)
+	var first struct{ X, Y float64 }
+	url := ts.URL + "/v1/whereat?id=7&t=" + f(temporal[0].T)
 	for i := 0; i < 3; i++ {
-		if status := getJSON(t, url, nil); status != http.StatusOK {
+		var got struct{ X, Y float64 }
+		if status := getJSON(t, url, &got); status != http.StatusOK {
 			t.Fatalf("whereat = %d", status)
 		}
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("repeated whereat = %+v, first %+v", got, first)
+		}
 	}
-	// A distinct timestamp misses the result memo but hits the
-	// decoded-record cache underneath it.
 	url2 := ts.URL + "/v1/whereat?id=7&t=" + f(temporal[len(temporal)-1].T)
 	if status := getJSON(t, url2, nil); status != http.StatusOK {
 		t.Fatalf("whereat (distinct t) = %d", status)
 	}
-	var stats queryStatsDoc
-	if status := getJSON(t, ts.URL+"/v1/stats", &stats); status != http.StatusOK {
-		t.Fatalf("stats = %d", status)
-	}
-	if !stats.Query.CacheEnabled {
-		t.Fatal("cache not enabled by default")
-	}
-	if stats.Query.Cache.ResultHits < 2 {
-		t.Errorf("result memo hits = %d, want >= 2", stats.Query.Cache.ResultHits)
-	}
-	if stats.Query.Cache.Hits < 1 {
-		t.Errorf("cache hits = %d, want >= 1", stats.Query.Cache.Hits)
-	}
-	if stats.Query.Decodes != 1 {
-		t.Errorf("decodes = %d, want 1", stats.Query.Decodes)
-	}
-	// Cache off: same answers, no hits.
-	srv2, err := fxt.sys.NewServer(context.Background(), st, press.ServerOptions{
-		QueryCacheBytes: -1,
-	})
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer func() {
-		ts2.Close()
-		srv2.Close()
-	}()
-	urlOff := ts2.URL + "/v1/whereat?id=7&t=" + f(tq)
-	for i := 0; i < 2; i++ {
-		if status := getJSON(t, urlOff, nil); status != http.StatusOK {
-			t.Fatalf("whereat (no cache) = %d", status)
-		}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if status := getJSON(t, ts2.URL+"/v1/stats", &stats); status != http.StatusOK {
-		t.Fatalf("stats = %d", status)
+	var stats struct {
+		Query map[string]uint64 `json:"query"`
 	}
-	if stats.Query.CacheEnabled {
-		t.Error("cache reported enabled with QueryCacheBytes < 0")
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatalf("stats: %v in %s", err, body)
 	}
-	if stats.Query.Decodes != 2 {
-		t.Errorf("cache-off decodes = %d, want 2", stats.Query.Decodes)
+	if len(stats.Query) != 1 || stats.Query["decodes"] != 4 {
+		t.Errorf("query stats = %v, want only decodes = 4 (one per read)", stats.Query)
 	}
 }
 
-// /metrics must expose the Prometheus text format with the cache, index
+// /metrics must expose the Prometheus text format with the query, index
 // and per-endpoint counters.
 func TestMetricsExposition(t *testing.T) {
 	fxt := getFixture(t)
@@ -1053,9 +1020,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		"# TYPE press_query_cache_hits_total counter",
-		"press_query_result_cache_hits_total 1",
-		"press_query_decodes_total 1",
+		"press_query_decodes_total 2",
 		"press_store_records 1",
 		"press_fleet_index_upserts_total",
 		"press_requests_total{endpoint=\"whereat\"} 2",
@@ -1078,7 +1043,8 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 	// The SP source is one search: nothing mapped, built or cached to report.
-	for _, gone := range []string{"press_sp_mapped_bytes", "press_sp_build_workers", "press_sp_witness_settle_cap", "press_sp_unpack_"} {
+	// The query view holds no cache either.
+	for _, gone := range []string{"press_sp_mapped_bytes", "press_sp_build_workers", "press_sp_witness_settle_cap", "press_sp_unpack_", "press_query_cache_", "press_query_result_cache_"} {
 		if strings.Contains(text, gone) {
 			t.Errorf("metrics still publish %q", gone)
 		}

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 
+	"press/internal/httpx"
 	"press/internal/stream"
 	"press/internal/wire"
 )
@@ -65,7 +66,7 @@ func isWireRequest(r *http.Request) bool {
 // handleIngestWire serves POST /v1/ingest: binary-only, multi-vehicle.
 func (s *Server) handleIngestWire(w http.ResponseWriter, r *http.Request) {
 	if !isWireRequest(r) {
-		writeErr(w, http.StatusUnsupportedMediaType,
+		httpx.WriteErr(w, http.StatusUnsupportedMediaType,
 			"bulk ingest is binary-only: set Content-Type "+wire.ContentType+
 				" (JSON debug ingest lives at /v1/ingest/{id})")
 		return
@@ -94,12 +95,12 @@ func (s *Server) ingestWire(w http.ResponseWriter, r *http.Request, restrict *ui
 	var resp wireIngestResponse
 	fail := func(status int, err error) {
 		resp.Error = err.Error()
-		writeJSON(w, status, resp)
+		httpx.WriteJSON(w, status, resp)
 	}
 	for {
 		fr, err := sc.rd.Next()
 		if err == io.EOF {
-			writeJSON(w, http.StatusOK, resp)
+			httpx.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 		if err != nil {

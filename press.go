@@ -145,11 +145,6 @@ type Config struct {
 	// long without a push (0 = sessions end only on explicit flush). See
 	// NewStreamIngestor.
 	SessionIdleFlush time.Duration
-	// QueryCacheBytes bounds the serving layer's LRU of decoded
-	// trajectories and memoized bounding summaries (0 = the server default,
-	// negative = caching off). Consulted by NewServer when the per-server
-	// ServerOptions leave the knob zero.
-	QueryCacheBytes int
 }
 
 // DefaultConfig returns the paper's defaults: θ = 3, zero-error temporal
@@ -453,9 +448,6 @@ const WireContentType = wire.ContentType
 func (s *System) NewServer(ctx context.Context, st *ShardedFleetStore, opt ServerOptions) (*Server, error) {
 	if opt.Stream.IdleFlush == 0 {
 		opt.Stream.IdleFlush = s.cfg.SessionIdleFlush
-	}
-	if opt.QueryCacheBytes == 0 {
-		opt.QueryCacheBytes = s.cfg.QueryCacheBytes
 	}
 	return server.New(ctx, server.Config{
 		Engine:     s.engine,

@@ -2,8 +2,8 @@
 # pressd end-to-end smoke: generate a workload, boot the daemon against a
 # fresh store, verify /healthz, the SP accounting, one ingest+query
 # round-trip and the /metrics exposition, then SIGTERM and assert a clean
-# (exit 0) drain. The retired snapshot flags must be refused as unknown
-# (exit 2). CI runs this on every push; `make smoke` runs it locally.
+# (exit 0) drain. The retired snapshot and query-cache flags must be
+# refused as unknown (exit 2). CI runs this on every push; `make smoke` runs it locally.
 set -euo pipefail
 
 PORT="${PRESSD_SMOKE_PORT:-18466}"
@@ -22,13 +22,19 @@ go run ./cmd/pressgen -out "$tmp/data" -trips 60 -rows 8 -cols 8 >/dev/null
 args=(-net "$tmp/data/network.txt" -train "$tmp/data/trips.txt"
     -store "$tmp/fleet" -addr "127.0.0.1:${PORT}")
 
-# The shortest-path snapshot is gone, and so are its flags: the flag
-# package rejects an unknown flag with exit status 2.
-status=0
-"$tmp/pressd" "${args[@]}" -snapshot x >"$tmp/pressd-flag.log" 2>&1 || status=$?
-if [ "$status" -ne 2 ]; then
-    echo "pressd -snapshot exited $status, want 2:"; cat "$tmp/pressd-flag.log"; exit 1
-fi
+# The shortest-path snapshot and the query cache are gone, and so are
+# their flags: the flag package rejects an unknown flag with exit status 2.
+# The timeout turns a daemon that accepted the flag and booted into a
+# failure rather than a hang.
+refused() {
+    local status=0
+    timeout 30 "$tmp/pressd" "${args[@]}" "$@" >"$tmp/pressd-flag.log" 2>&1 || status=$?
+    if [ "$status" -ne 2 ]; then
+        echo "pressd $* exited $status, want 2:"; cat "$tmp/pressd-flag.log"; exit 1
+    fi
+}
+refused -snapshot x
+refused -cachebytes 1
 
 # boot LOG [flags...]: start the daemon in the background and wait for it
 # to come up (graph load + codebook training).
@@ -72,21 +78,23 @@ body="$(curl -fs -X POST "$BASE/v1/ingest/7" -H 'Content-Type: application/json'
 echo "$body" | grep -q '"accepted":2'
 curl -fs "$BASE/v1/whereat?id=7&t=30" | grep -q '"x"'
 
-# Warm query path. Repeating the identical whereat is answered by the
-# result memo (result_hits); a second timestamp on the same vehicle misses
-# the memo but finds the decoded record in the LRU (hits). Both layers must
-# show up in /v1/stats.
+# Warm query path. The view keeps no decoded state, so the repeated and
+# the new whereat each decode the record once: three reads, three decodes,
+# and no cache section in /v1/stats.
 curl -fs "$BASE/v1/whereat?id=7&t=30" >/dev/null
 curl -fs "$BASE/v1/whereat?id=7&t=45" | grep -q '"x"'
 stats="$(curl -fs "$BASE/v1/stats")"
-echo "$stats" | grep -q '"cache_enabled":true'
-echo "$stats" | grep -q '"hits":[1-9]'
-echo "$stats" | grep -q '"result_hits":[1-9]'
+echo "$stats" | grep -q '"query":{"decodes":3}'
+if echo "$stats" | grep -q '"cache_enabled"'; then
+    echo "pressd still reports a query cache in /v1/stats"; exit 1
+fi
 
 # Prometheus exposition mirrors the same counters and the SP accounting.
 metrics="$(curl -fs "$BASE/metrics")"
-echo "$metrics" | grep -q '^# TYPE press_query_cache_hits_total counter'
-echo "$metrics" | grep -q '^press_query_result_cache_hits_total [1-9]'
+echo "$metrics" | grep -q '^press_query_decodes_total 3'
+if echo "$metrics" | grep -Eq 'press_query_(result_)?cache_'; then
+    echo "pressd still exports a query cache metric"; exit 1
+fi
 echo "$metrics" | grep -q '^press_store_records 1'
 echo "$metrics" | grep -q '^press_sp_kind{kind="hier"} 1'
 echo "$metrics" | grep -q '^# TYPE press_sp_heap_bytes gauge'
