@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchsmoke benchtest serve smoke clustersmoke fuzz allocgate fmtcheck ci
+.PHONY: all build vet test race bench benchsmoke benchtest examples serve smoke clustersmoke fuzz allocgate fmtcheck ci
 
 all: ci
 
@@ -35,6 +35,13 @@ benchsmoke:
 # never compiles it, yet it links against spindex, server, core and query.
 benchtest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The examples that check their own output (log.Fatal on any mismatch):
+# online compression within the TSND/NSTD bounds and losslessly
+# decompressed, and session ingest matching batch compression.
+examples:
+	$(GO) run ./examples/online
+	$(GO) run ./examples/streaming
 
 # Boot the serving daemon on a freshly generated demo workload (ctrl-C or
 # SIGTERM drains and exits cleanly).
@@ -69,4 +76,4 @@ fuzz:
 allocgate:
 	./scripts/allocgate.sh
 
-ci: fmtcheck build vet race benchsmoke benchtest fuzz allocgate smoke clustersmoke
+ci: fmtcheck build vet race benchsmoke benchtest examples fuzz allocgate smoke clustersmoke

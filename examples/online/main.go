@@ -6,8 +6,10 @@
 // A simulated vehicle reports its position live; the spatial stream is
 // SP-compressed and the temporal stream BTC-compressed on the fly, each
 // point decided the moment its window closes — no buffering of the whole
-// trajectory. The example verifies the streamed output equals the batch
-// output and respects the temporal error bounds.
+// trajectory. The streaming compressors are the only implementation of
+// the two algorithms (core.SPCompress and core.BTC run them to the end).
+// The example verifies that every streamed path decompresses back to the
+// vehicle's exact path and that the temporal error bounds hold.
 //
 //	go run ./examples/online
 package main
@@ -19,7 +21,6 @@ import (
 	"press"
 	"press/internal/core"
 	"press/internal/spindex"
-	"press/internal/traj"
 )
 
 func main() {
@@ -33,30 +34,28 @@ func main() {
 
 	// Stream every trajectory through the online compressors.
 	var inEdges, outEdges, inTuples, outTuples int
+	osp := core.NewOnlineSP(sp)
+	btc := core.NewOnlineBTC(tau, eta)
 	for i, tr := range ds.Truth {
-		var spOut traj.Path
-		osp := core.NewOnlineSP(sp, func(e press.EdgeID) { spOut = append(spOut, e) })
 		for _, e := range tr.Path {
 			osp.Push(e) // one call per road segment the vehicle enters
 		}
-		osp.Flush()
+		spOut := osp.Flush() // also readies osp for the next trajectory
 
-		var btcOut traj.Temporal
-		btc := core.NewOnlineBTC(tau, eta, func(p traj.Entry) { btcOut = append(btcOut, p) })
 		for _, p := range tr.Temporal {
 			btc.Push(p) // one call per GPS fix
 		}
-		btc.Flush()
+		btcOut := btc.Flush()
 
-		// The stream must match the batch algorithms exactly.
-		if !spOut.Equal(core.SPCompress(sp, tr.Path)) {
-			log.Fatalf("trajectory %d: online SP diverged from batch", i)
+		// The spatial stream is lossless...
+		back, err := core.SPDecompress(sp, spOut)
+		if err != nil {
+			log.Fatalf("trajectory %d: %v", i, err)
 		}
-		batch := core.BTC(tr.Temporal, tau, eta)
-		if len(batch) != len(btcOut) {
-			log.Fatalf("trajectory %d: online BTC diverged from batch", i)
+		if !back.Equal(tr.Path) {
+			log.Fatalf("trajectory %d: decompressed path differs from the original", i)
 		}
-		// And the hard error bounds must hold on the live stream.
+		// ...and the hard error bounds hold on the live temporal stream.
 		if v := core.TSND(tr.Temporal, btcOut); v > tau+1e-6 {
 			log.Fatalf("trajectory %d: TSND %v exceeds %v", i, v, tau)
 		}
@@ -73,21 +72,18 @@ func main() {
 		inEdges, outEdges, float64(inEdges)/float64(outEdges))
 	fmt.Printf("  temporal: %4d tuples in -> %4d retained (BTC ratio %.2f, TSND<=%.0fm NSTD<=%.0fs)\n",
 		inTuples, outTuples, float64(inTuples)/float64(outTuples), tau, eta)
-	fmt.Println("  every stream verified identical to batch compression and within bounds")
+	fmt.Println("  every path verified lossless and every temporal stream within bounds")
 
 	// Show per-fix latency semantics on one trajectory: what the server has
 	// durable after each report.
 	tr := ds.Truth[0]
-	retained := 0
-	btc := core.NewOnlineBTC(tau, eta, func(traj.Entry) { retained++ })
 	fmt.Printf("\nlive feed of trajectory 0 (%d fixes):\n", len(tr.Temporal))
 	for k, p := range tr.Temporal {
 		btc.Push(p)
 		if k%5 == 0 {
 			fmt.Printf("  after fix %2d (t=%5.0fs, d=%6.0fm): %d tuples durable\n",
-				k, p.T, p.D, retained)
+				k, p.T, p.D, len(btc.Retained()))
 		}
 	}
-	btc.Flush()
-	fmt.Printf("  stream closed: %d of %d tuples retained\n", retained, len(tr.Temporal))
+	fmt.Printf("  stream closed: %d of %d tuples retained\n", len(btc.Flush()), len(tr.Temporal))
 }

@@ -6,9 +6,11 @@ import (
 	"press/internal/traj"
 )
 
-// BTC is the Bounded Temporal Compression of §4.2 (Algorithm 3): an
+// OnlineBTC is the Bounded Temporal Compression of §4.2 (Algorithm 3),
+// written as a stream: push (d, t) tuples as they are sampled. It is an
 // opening-window simplification of the (d, t) polyline whose per-window
-// feasibility is tracked with an angular range, giving O(|T|) total time.
+// feasibility is tracked with an angular range, so each tuple costs O(1)
+// and each retained tuple is final the moment the range collapses.
 //
 // The angular range is represented as a slope interval [lo, hi] in the d-t
 // plane (distance is non-decreasing and time strictly increasing, so every
@@ -28,82 +30,121 @@ import (
 // anchor or the window must close. This keeps the exact NSTD (first-arrival
 // semantics, see the NSTD function) within η in every case.
 //
-// ts must satisfy Temporal.Validate. A point that breaks it can fail even a
-// fresh window; BTC then retains it and restarts from it instead of
-// re-evaluating it forever, so malformed input ends with some subsequence
-// rather than a hang.
-func BTC(ts traj.Temporal, tau, eta float64) traj.Temporal {
-	n := len(ts)
-	if n <= 2 {
-		return ts.Clone()
+// Tuples must satisfy Temporal.Validate: finite, strictly increasing T,
+// non-decreasing D (OnlineCompressor refuses any other). A tuple that
+// breaks this can fail even a fresh window; Push then retains it and
+// restarts from it instead of re-evaluating it forever, so malformed input
+// ends rather than hangs, and its output is still a subsequence of it.
+//
+// The zero value with tau and eta set is ready to use.
+type OnlineBTC struct {
+	tau, eta float64
+
+	anchor  traj.Entry
+	prev    traj.Entry
+	fresh   bool // the window holds no point past its anchor
+	lo, hi  float64
+	flatEnd float64       // latest time seen at the anchor's distance
+	out     traj.Temporal // retained tuples; the first push retains its tuple
+}
+
+// NewOnlineBTC creates a streaming temporal compressor with the given
+// bounds.
+func NewOnlineBTC(tau, eta float64) *OnlineBTC { return &OnlineBTC{tau: tau, eta: eta} }
+
+func (o *OnlineBTC) resetWindow(anchor traj.Entry) {
+	o.anchor = anchor
+	o.fresh = true
+	o.lo, o.hi = 0, math.Inf(1)
+	o.flatEnd = math.Inf(-1)
+}
+
+// Push feeds the next temporal tuple.
+func (o *OnlineBTC) Push(p traj.Entry) {
+	if len(o.out) == 0 {
+		o.out = append(o.out, p)
+		o.resetWindow(p)
+		o.prev = p
+		return
 	}
-	out := make(traj.Temporal, 0, 4)
-	out = append(out, ts[0])
-
-	a := 0 // anchor index
-	lo, hi := 0.0, math.Inf(1)
-	flatEnd := math.Inf(-1) // latest time seen at the anchor's distance
-
-	reset := func(idx int) {
-		a = idx
-		lo, hi = 0, math.Inf(1)
-		flatEnd = math.Inf(-1)
-	}
-
 	const eps = 1e-9
-	i := 1
-	for i < n {
-		p := ts[i]
-		dt := p.T - ts[a].T
-		dd := p.D - ts[a].D
+	var dt, dd float64
+	for {
+		dt, dd = p.T-o.anchor.T, p.D-o.anchor.D
 		s := dd / dt
-
-		ok := s >= lo-eps && s <= hi+eps
-		if ok && dd > 0 && !math.IsInf(flatEnd, -1) && flatEnd-ts[a].T > eta+eps {
+		ok := s >= o.lo-eps && s <= o.hi+eps
+		if ok && dd > 0 && !math.IsInf(o.flatEnd, -1) && o.flatEnd-o.anchor.T > o.eta+eps {
 			// Plateau-exit rule: the object idled at the anchor distance for
 			// longer than η; a rising chord would report departure at the
 			// anchor time, off by more than η.
 			ok = false
 		}
-		if !ok && a == i-1 {
-			// p fails a fresh window: ts is malformed (see above).
-			out = append(out, p)
-			reset(i)
-			i++
-			continue
+		if ok {
+			break
 		}
-		if !ok {
-			// Retain the previous point and re-evaluate p against it.
-			out = append(out, ts[i-1])
-			reset(i - 1)
-			continue
+		if o.fresh { // malformed tuple (see above)
+			o.out = append(o.out, p)
+			o.resetWindow(p)
+			o.prev = p
+			return
 		}
-		// p joins the window interior: intersect the angular range with its
-		// TSND and NSTD constraints.
-		l1 := (dd - tau) / dt
-		h1 := (dd + tau) / dt
-		if l1 > lo {
-			lo = l1
-		}
-		if h1 < hi {
-			hi = h1
-		}
-		if dd > 0 {
-			l2 := dd / (dt + eta)
-			if l2 > lo {
-				lo = l2
-			}
-			if dt-eta > 0 {
-				if h2 := dd / (dt - eta); h2 < hi {
-					hi = h2
-				}
-			}
-		} else if p.T > flatEnd {
-			flatEnd = p.T
-		}
-		i++
+		// Retain prev, restart the window from it and re-evaluate p.
+		o.out = append(o.out, o.prev)
+		o.resetWindow(o.prev)
 	}
-	return append(out, ts[n-1])
+	// p joins the window interior: intersect the angular range with its
+	// TSND and NSTD constraints.
+	o.fresh = false
+	o.prev = p
+	if l1 := (dd - o.tau) / dt; l1 > o.lo {
+		o.lo = l1
+	}
+	if h1 := (dd + o.tau) / dt; h1 < o.hi {
+		o.hi = h1
+	}
+	if dd > 0 {
+		if l2 := dd / (dt + o.eta); l2 > o.lo {
+			o.lo = l2
+		}
+		if dt-o.eta > 0 {
+			if h2 := dd / (dt - o.eta); h2 < o.hi {
+				o.hi = h2
+			}
+		}
+	} else if p.T > o.flatEnd {
+		o.flatEnd = p.T
+	}
+}
+
+// Retained returns the tuples retained so far; Flush adds the trailing one.
+func (o *OnlineBTC) Retained() traj.Temporal { return o.out }
+
+// Flush retains the trailing tuple and returns the compressed sequence,
+// which the caller then owns. A fresh window's last tuple is its anchor,
+// already retained. The compressor is reset for a new trajectory.
+func (o *OnlineBTC) Flush() traj.Temporal {
+	if len(o.out) > 0 && !o.fresh {
+		o.out = append(o.out, o.prev)
+	}
+	out := o.out
+	o.out = nil
+	o.Reset()
+	return out
+}
+
+// Reset discards the trajectory in flight.
+func (o *OnlineBTC) Reset() {
+	*o = OnlineBTC{tau: o.tau, eta: o.eta, out: o.out[:0]}
+}
+
+// BTC runs OnlineBTC over a whole temporal sequence with bounds τ (TSND,
+// meters) and η (NSTD, seconds).
+func BTC(ts traj.Temporal, tau, eta float64) traj.Temporal {
+	o := OnlineBTC{tau: tau, eta: eta, out: make(traj.Temporal, 0, 4)}
+	for _, p := range ts {
+		o.Push(p)
+	}
+	return o.Flush()
 }
 
 // CompressionRatioTuples returns the tuple-count compression ratio the paper

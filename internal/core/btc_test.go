@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -156,4 +157,81 @@ func TestCompressionRatioTuples(t *testing.T) {
 	if got := CompressionRatioTuples(orig, nil); got != 0 {
 		t.Errorf("empty comp ratio = %v", got)
 	}
+}
+
+// btcReference is Algorithm 3 as a batch loop over the whole sequence, kept
+// as the oracle the streaming OnlineBTC (and so BTC) is checked against on
+// valid input.
+func btcReference(ts traj.Temporal, tau, eta float64) traj.Temporal {
+	n := len(ts)
+	if n <= 2 {
+		return ts.Clone()
+	}
+	out := make(traj.Temporal, 0, 4)
+	out = append(out, ts[0])
+
+	a := 0 // anchor index
+	lo, hi := 0.0, math.Inf(1)
+	flatEnd := math.Inf(-1) // latest time seen at the anchor's distance
+
+	reset := func(idx int) {
+		a = idx
+		lo, hi = 0, math.Inf(1)
+		flatEnd = math.Inf(-1)
+	}
+
+	const eps = 1e-9
+	i := 1
+	for i < n {
+		p := ts[i]
+		dt := p.T - ts[a].T
+		dd := p.D - ts[a].D
+		s := dd / dt
+
+		ok := s >= lo-eps && s <= hi+eps
+		if ok && dd > 0 && !math.IsInf(flatEnd, -1) && flatEnd-ts[a].T > eta+eps {
+			// Plateau-exit rule: the object idled at the anchor distance for
+			// longer than η; a rising chord would report departure at the
+			// anchor time, off by more than η.
+			ok = false
+		}
+		if !ok && a == i-1 {
+			// p fails a fresh window: ts is malformed (see above).
+			out = append(out, p)
+			reset(i)
+			i++
+			continue
+		}
+		if !ok {
+			// Retain the previous point and re-evaluate p against it.
+			out = append(out, ts[i-1])
+			reset(i - 1)
+			continue
+		}
+		// p joins the window interior: intersect the angular range with its
+		// TSND and NSTD constraints.
+		l1 := (dd - tau) / dt
+		h1 := (dd + tau) / dt
+		if l1 > lo {
+			lo = l1
+		}
+		if h1 < hi {
+			hi = h1
+		}
+		if dd > 0 {
+			l2 := dd / (dt + eta)
+			if l2 > lo {
+				lo = l2
+			}
+			if dt-eta > 0 {
+				if h2 := dd / (dt - eta); h2 < hi {
+					hi = h2
+				}
+			}
+		} else if p.T > flatEnd {
+			flatEnd = p.T
+		}
+		i++
+	}
+	return append(out, ts[n-1])
 }

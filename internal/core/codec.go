@@ -63,37 +63,26 @@ func (ct *Compressed) SizeBytes() int {
 	return 4 + ct.Spatial.SizeBytes() + 4 + 8*len(ct.Temporal)
 }
 
-// Compress compresses one re-formatted trajectory. A path edge outside the
-// network, or a temporal sequence that fails Temporal.Validate, is refused
-// with an error before either stage runs.
+// Compress compresses one re-formatted trajectory: it pushes every edge,
+// then every sample, through an OnlineCompressor and flushes. A path edge
+// outside the network, or a temporal sequence that fails Temporal.Validate,
+// is refused with an error.
 func (c *Compressor) Compress(t *traj.Trajectory) (*Compressed, error) {
+	o := c.online()
+	// Four retained elements before the first growth, as SPCompress and
+	// BTC size theirs.
+	o.sp.out, o.btc.out = make(traj.Path, 0, 4), make(traj.Temporal, 0, 4)
 	for _, e := range t.Path {
-		if err := c.checkEdge(e); err != nil {
+		if err := o.PushEdge(e); err != nil {
 			return nil, err
 		}
 	}
-	if err := t.Temporal.Validate(); err != nil {
-		return nil, err
+	for _, p := range t.Temporal {
+		if err := o.PushSample(p); err != nil {
+			return nil, err
+		}
 	}
-	sc, err := c.HSC().Compress(t.Path)
-	if err != nil {
-		return nil, err
-	}
-	temporal := BTC(t.Temporal, c.Tau, c.Eta)
-	return &Compressed{
-		Spatial:  sc,
-		Temporal: temporal,
-		Summary:  SummarizeTrajectory(c.Graph, t.Path, temporal),
-	}, nil
-}
-
-// checkEdge refuses an edge id outside the network: the SP search and the
-// MBR fold index by it.
-func (c *Compressor) checkEdge(e roadnet.EdgeID) error {
-	if e < 0 || int(e) >= c.Graph.NumEdges() {
-		return fmt.Errorf("core: edge %d outside the network's %d edges", e, c.Graph.NumEdges())
-	}
-	return nil
+	return o.Flush()
 }
 
 // Decompress recovers the trajectory: the spatial path exactly, the temporal

@@ -25,8 +25,30 @@ func streamThrough(o *OnlineCompressor, tr *traj.Trajectory) (*Compressed, error
 	return o.Flush()
 }
 
-// The streaming compressor must produce byte-identical records to the batch
-// Compressor.Compress on every input, across error bounds and reuse.
+// compressReference is Compressor.Compress assembled from the batch
+// reference loops and the path polyline's MBR: the oracle for the streaming
+// compressor, and so for Compress. It expects a valid trajectory.
+func compressReference(c *Compressor, tr *traj.Trajectory) (*Compressed, error) {
+	sc, err := c.CB.Encode(spCompressReference(c.SP, tr.Path))
+	if err != nil {
+		return nil, err
+	}
+	temporal := btcReference(tr.Temporal, c.Tau, c.Eta)
+	sum := &BoundingSummary{MBR: c.Graph.PathPolyline(tr.Path).MBR(), T0: math.Inf(1), T1: math.Inf(-1)}
+	if n := len(temporal); n > 0 {
+		sum.T0, sum.T1 = temporal[0].T, temporal[n-1].T
+	}
+	return &Compressed{Spatial: sc, Temporal: temporal, Summary: sum}, nil
+}
+
+// recordBytes is a record's Marshal bytes followed by its summary's.
+func recordBytes(ct *Compressed) []byte {
+	sum := ct.Summary.Marshal()
+	return append(ct.Marshal(), sum[:]...)
+}
+
+// The streaming compressor must produce the reference record, bytes and
+// summary, on every input, across error bounds and reuse.
 func TestOnlineCompressorMatchesBatch(t *testing.T) {
 	for _, b := range []struct{ tau, eta float64 }{
 		{0, 0}, {50, 30}, {1000, 1000},
@@ -38,7 +60,7 @@ func TestOnlineCompressorMatchesBatch(t *testing.T) {
 		}
 		for trial := 0; trial < 150; trial++ {
 			tr := synthTrajectory(c, genPath(rng.Intn(30)+1), rng)
-			want, err := c.Compress(tr)
+			want, err := compressReference(c, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +68,7 @@ func TestOnlineCompressorMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("tau=%v eta=%v trial %d: %v", b.tau, b.eta, trial, err)
 			}
-			if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			if !bytes.Equal(recordBytes(got), recordBytes(want)) {
 				t.Fatalf("tau=%v eta=%v trial %d: online bytes differ from batch", b.tau, b.eta, trial)
 			}
 		}
@@ -80,7 +102,7 @@ func TestOnlineCompressorMatchesBatchOnCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tr := range ds.Truth {
-		want, err := c.Compress(tr)
+		want, err := compressReference(c, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +110,7 @@ func TestOnlineCompressorMatchesBatchOnCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trajectory %d: %v", i, err)
 		}
-		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+		if !bytes.Equal(recordBytes(got), recordBytes(want)) {
 			t.Fatalf("trajectory %d: online bytes differ from batch", i)
 		}
 	}
@@ -120,7 +142,7 @@ func TestOnlineCompressorResetAndCounters(t *testing.T) {
 	}
 	// After an abandoned trajectory the next one must still match batch.
 	tr2 := synthTrajectory(c, genPath(9), rng)
-	want, err := c.Compress(tr2)
+	want, err := compressReference(c, tr2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +150,7 @@ func TestOnlineCompressorResetAndCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Marshal(), want.Marshal()) {
+	if !bytes.Equal(recordBytes(got), recordBytes(want)) {
 		t.Fatal("post-Reset stream differs from batch")
 	}
 }
@@ -166,7 +188,7 @@ func TestOnlineCompressorFlushErrorResets(t *testing.T) {
 		path = genPath(8)
 	}
 	tr := synthTrajectory(c, path, rng)
-	want, err := c.Compress(tr)
+	want, err := compressReference(c, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +196,7 @@ func TestOnlineCompressorFlushErrorResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Marshal(), want.Marshal()) {
+	if !bytes.Equal(recordBytes(got), recordBytes(want)) {
 		t.Fatal("post-failure stream differs from batch")
 	}
 }
@@ -219,10 +241,10 @@ func fuzzCompressors() ([]*Compressor, error) {
 }
 
 // FuzzOnlineCompressorEquivalence derives a random but valid trajectory from
-// the fuzz input and asserts the streaming record is byte-identical to the
-// batch record, on the Table and on the Hier. The compressor is parked after
-// the edges parkMask picks (bit i%64 for the i-th edge), as a session is at
-// every frame boundary.
+// the fuzz input and asserts that Compress and the streaming record both
+// equal the reference record, on the Table and on the Hier. The streaming
+// compressor is parked after the edges parkMask picks (bit i%64 for the
+// i-th edge), as a session is at every frame boundary.
 func FuzzOnlineCompressorEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(3), uint64(0))
 	f.Add(int64(42), uint8(1), uint8(1), uint64(1))
@@ -250,13 +272,13 @@ func FuzzOnlineCompressorEquivalence(f *testing.F) {
 			}
 		}
 		tr := &traj.Trajectory{Path: path, Temporal: ts}
-		want, err := cs[0].Compress(tr)
+		want, err := compressReference(cs[0], tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range cs {
-			if b, err := c.Compress(tr); err != nil || !bytes.Equal(b.Marshal(), want.Marshal()) {
-				t.Fatalf("seed=%d: batch bytes differ across SP sources (err %v)", seed, err)
+			if b, err := c.Compress(tr); err != nil || !bytes.Equal(recordBytes(b), recordBytes(want)) {
+				t.Fatalf("seed=%d: Compress differs from the reference on %T (err %v)", seed, c.SP, err)
 			}
 			o, err := NewOnlineCompressor(c)
 			if err != nil {
@@ -278,8 +300,8 @@ func FuzzOnlineCompressorEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got.Marshal(), want.Marshal()) {
-				t.Fatalf("seed=%d pathLen=%d tempLen=%d parkMask=%#x: online bytes differ from batch on %T",
+			if !bytes.Equal(recordBytes(got), recordBytes(want)) {
+				t.Fatalf("seed=%d pathLen=%d tempLen=%d parkMask=%#x: online bytes differ from the reference on %T",
 					seed, pathLen, tempLen, parkMask, c.SP)
 			}
 		}
@@ -319,18 +341,25 @@ func withDeadline(t *testing.T, fn func()) {
 	}
 }
 
-// BTC and OnlineBTC must end on malformed input instead of re-evaluating
-// a failing tuple forever.
+// BTC must end on malformed input instead of re-evaluating a failing tuple
+// forever, and end with a subsequence of the input: each retained tuple at
+// a strictly later index than the one before, none retained twice.
 func TestBTCTerminatesOnMalformedInput(t *testing.T) {
 	for _, tc := range malformedSamples {
-		withDeadline(t, func() {
-			BTC(tc.ts, 0, 0)
-			o := NewOnlineBTC(0, 0, func(traj.Entry) {})
-			for _, p := range tc.ts {
-				o.Push(p)
+		var got traj.Temporal
+		withDeadline(t, func() { got = BTC(tc.ts, 0, 0) })
+		i := 0
+		for k, e := range got {
+			// Compare bits: a NaN tuple must match itself.
+			for i < len(tc.ts) && (math.Float64bits(tc.ts[i].D) != math.Float64bits(e.D) ||
+				math.Float64bits(tc.ts[i].T) != math.Float64bits(e.T)) {
+				i++
 			}
-			o.Flush()
-		})
+			if i == len(tc.ts) {
+				t.Fatalf("%s: output %v is no subsequence of %v (tuple %d)", tc.name, got, tc.ts, k)
+			}
+			i++
+		}
 	}
 }
 
@@ -376,11 +405,11 @@ func TestOnlineCompressorRefusesBadObservations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := c.Compress(&traj.Trajectory{Path: path, Temporal: valid})
+		want, err := compressReference(c, &traj.Trajectory{Path: path, Temporal: valid})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+		if !bytes.Equal(recordBytes(got), recordBytes(want)) {
 			t.Fatalf("%s: record after a refused push differs from batch", tc.name)
 		}
 		// Batch compression refuses the whole malformed sequence.

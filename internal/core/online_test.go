@@ -4,25 +4,22 @@ import (
 	"math/rand"
 	"testing"
 
-	"press/internal/roadnet"
 	"press/internal/traj"
 )
 
-// The streaming compressors must produce byte-identical output to their
-// batch counterparts on every input.
+// The streaming compressors must produce the output of the batch reference
+// loops on every input.
 func TestOnlineSPMatchesBatch(t *testing.T) {
 	g, tab := testGrid(t)
 	rng := rand.New(rand.NewSource(61))
+	o := NewOnlineSP(tab) // one shared instance: Flush must reset
 	for trial := 0; trial < 200; trial++ {
 		path := randomWalk(g, rng, rng.Intn(40)+1)
-		want := SPCompress(tab, path)
-		var got traj.Path
-		o := NewOnlineSP(tab, func(e roadnet.EdgeID) { got = append(got, e) })
+		want := spCompressReference(tab, path)
 		for _, e := range path {
 			o.Push(e)
 		}
-		o.Flush()
-		if !got.Equal(want) {
+		if got := o.Flush(); !got.Equal(want) {
 			t.Fatalf("trial %d:\n batch  %v\n online %v\n input %v", trial, want, got, path)
 		}
 	}
@@ -31,21 +28,16 @@ func TestOnlineSPMatchesBatch(t *testing.T) {
 func TestOnlineSPReset(t *testing.T) {
 	g, tab := testGrid(t)
 	rng := rand.New(rand.NewSource(62))
-	var got traj.Path
-	o := NewOnlineSP(tab, func(e roadnet.EdgeID) { got = append(got, e) })
-	p1 := randomWalk(g, rng, 10)
-	for _, e := range p1 {
+	o := NewOnlineSP(tab)
+	for _, e := range randomWalk(g, rng, 10) {
 		o.Push(e)
 	}
-	o.Flush()
 	o.Reset()
-	got = nil
 	p2 := randomWalk(g, rng, 12)
 	for _, e := range p2 {
 		o.Push(e)
 	}
-	o.Flush()
-	if !got.Equal(SPCompress(tab, p2)) {
+	if !o.Flush().Equal(spCompressReference(tab, p2)) {
 		t.Fatal("post-reset stream differs from batch")
 	}
 }
@@ -58,13 +50,12 @@ func TestOnlineBTCMatchesBatch(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		ts := randTemporal(rng, rng.Intn(70)+1, 0.3)
 		b := bounds[trial%len(bounds)]
-		want := BTC(ts, b.tau, b.eta)
-		var got traj.Temporal
-		o := NewOnlineBTC(b.tau, b.eta, func(e traj.Entry) { got = append(got, e) })
+		want := btcReference(ts, b.tau, b.eta)
+		o := NewOnlineBTC(b.tau, b.eta)
 		for _, e := range ts {
 			o.Push(e)
 		}
-		o.Flush()
+		got := o.Flush()
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: online %d points, batch %d", trial, len(got), len(want))
 		}
@@ -78,14 +69,13 @@ func TestOnlineBTCMatchesBatch(t *testing.T) {
 
 func TestOnlineBTCBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
+	o := NewOnlineBTC(75, 45)
 	for trial := 0; trial < 100; trial++ {
 		ts := randTemporal(rng, rng.Intn(60)+3, 0.25)
-		var got traj.Temporal
-		o := NewOnlineBTC(75, 45, func(e traj.Entry) { got = append(got, e) })
 		for _, e := range ts {
 			o.Push(e)
 		}
-		o.Flush()
+		got := o.Flush()
 		if v := TSND(ts, got); v > 75+1e-6 {
 			t.Fatalf("TSND %v", v)
 		}
@@ -96,19 +86,15 @@ func TestOnlineBTCBounds(t *testing.T) {
 }
 
 func TestOnlineBTCReset(t *testing.T) {
-	var got traj.Temporal
-	o := NewOnlineBTC(10, 10, func(e traj.Entry) { got = append(got, e) })
+	o := NewOnlineBTC(10, 10)
 	o.Push(traj.Entry{D: 0, T: 0})
 	o.Push(traj.Entry{D: 100, T: 10})
-	o.Flush()
 	o.Reset()
-	got = nil
 	ts := traj.Temporal{{D: 0, T: 0}, {D: 50, T: 5}, {D: 100, T: 10}}
 	for _, e := range ts {
 		o.Push(e)
 	}
-	o.Flush()
-	want := BTC(ts, 10, 10)
+	got, want := o.Flush(), btcReference(ts, 10, 10)
 	if len(got) != len(want) {
 		t.Fatalf("post-reset %d points want %d", len(got), len(want))
 	}
@@ -116,18 +102,14 @@ func TestOnlineBTCReset(t *testing.T) {
 
 func TestOnlineSingleElement(t *testing.T) {
 	_, tab := testGrid(t)
-	var edges traj.Path
-	o := NewOnlineSP(tab, func(e roadnet.EdgeID) { edges = append(edges, e) })
+	o := NewOnlineSP(tab)
 	o.Push(3)
-	o.Flush()
-	if !edges.Equal(traj.Path{3}) {
+	if edges := o.Flush(); !edges.Equal(traj.Path{3}) {
 		t.Errorf("single edge stream = %v", edges)
 	}
-	var pts traj.Temporal
-	b := NewOnlineBTC(5, 5, func(e traj.Entry) { pts = append(pts, e) })
+	b := NewOnlineBTC(5, 5)
 	b.Push(traj.Entry{D: 0, T: 0})
-	b.Flush()
-	if len(pts) != 1 {
+	if pts := b.Flush(); len(pts) != 1 {
 		t.Errorf("single tuple stream = %v", pts)
 	}
 }

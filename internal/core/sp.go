@@ -8,33 +8,94 @@ import (
 	"errors"
 	"fmt"
 
+	"press/internal/roadnet"
 	"press/internal/spindex"
 	"press/internal/traj"
 )
 
-// SPCompress is Algorithm 1: greedy shortest-path compression. A maximal run
-// of edges that exactly follows the canonical shortest path between its two
-// endpoints is replaced by those endpoints. The greedy strategy is optimal
-// (Theorem 1). The input must be a connected edge path. Each anchor's
-// SPend questions go to one search from it (SP.From), resumed as the run
-// grows instead of restarted per edge.
-func SPCompress(t spindex.SP, path traj.Path) traj.Path {
-	n := len(path)
-	if n <= 2 {
-		return path.Clone()
-	}
-	out := make(traj.Path, 0, 4)
-	out = append(out, path[0])
-	s := t.From(path[0])
-	for i := 1; i <= n-2; i++ {
-		if s.SPEnd(path[i+1]) != path[i] {
-			out = append(out, path[i])
-			s.Close()
-			s = t.From(path[i])
+// OnlineSP is Algorithm 1, greedy shortest-path compression, written as a
+// stream: push edges as the vehicle traverses them. A maximal run of edges
+// that exactly follows the canonical shortest path between its two
+// endpoints is replaced by those endpoints, and each retained edge is final
+// the moment the run breaks. The greedy strategy is optimal (Theorem 1).
+// The input must be a connected edge path.
+//
+// Each anchor's SPend questions go to one search from it (SP.From),
+// resumed as the run grows instead of restarted per edge. Park releases
+// that search and the next Push reopens it from the anchor, so a stream
+// parked between frames pays one search per frame, not one per edge.
+//
+// The zero value with sp set is ready to use.
+type OnlineSP struct {
+	sp     spindex.SP
+	search spindex.Search // open search from anchor; nil when parked
+	anchor roadnet.EdgeID
+	prev   roadnet.EdgeID
+	n      int
+	out    traj.Path // retained edges
+}
+
+// NewOnlineSP creates a streaming SP compressor.
+func NewOnlineSP(sp spindex.SP) *OnlineSP { return &OnlineSP{sp: sp} }
+
+// Push feeds the next traversed edge.
+func (o *OnlineSP) Push(e roadnet.EdgeID) {
+	o.n++
+	switch o.n {
+	case 1:
+		o.out = append(o.out, e)
+		o.anchor = e
+	case 2:
+		o.prev = e
+	default:
+		if o.search == nil {
+			o.search = o.sp.From(o.anchor)
 		}
+		if o.search.SPEnd(e) != o.prev {
+			o.out = append(o.out, o.prev)
+			o.anchor = o.prev
+			o.Park()
+		}
+		o.prev = e
 	}
-	s.Close()
-	return append(out, path[n-1])
+}
+
+// Park releases the open search, if any; the next Push reopens it from the
+// anchor. Output is the same wherever Park is called, so a caller holding
+// many idle compressors parks each after its pushes and none keeps search
+// scratch while idle.
+func (o *OnlineSP) Park() {
+	if o.search != nil {
+		o.search.Close()
+		o.search = nil
+	}
+}
+
+// Flush retains the trailing edge and returns the compressed path, which
+// the caller then owns. The compressor is reset for a new trajectory.
+func (o *OnlineSP) Flush() traj.Path {
+	if o.n >= 2 {
+		o.out = append(o.out, o.prev)
+	}
+	out := o.out
+	o.out = nil
+	o.Reset()
+	return out
+}
+
+// Reset parks and discards the trajectory in flight.
+func (o *OnlineSP) Reset() {
+	o.Park()
+	*o = OnlineSP{sp: o.sp, out: o.out[:0]}
+}
+
+// SPCompress runs OnlineSP over a whole path.
+func SPCompress(sp spindex.SP, path traj.Path) traj.Path {
+	o := OnlineSP{sp: sp, out: make(traj.Path, 0, 4)}
+	for _, e := range path {
+		o.Push(e)
+	}
+	return o.Flush()
 }
 
 // SPDecompress inverts SPCompress: any two consecutive retained edges that
@@ -61,46 +122,4 @@ func SPDecompress(t spindex.SP, compressed traj.Path) (traj.Path, error) {
 		out = append(out, sp[1:]...)
 	}
 	return out, nil
-}
-
-// spOptimalBruteForce computes, by dynamic programming over retained-edge
-// subsets, the minimum possible length of an SP-compressed form of path. It
-// exists to validate Theorem 1 in tests and is exported to the test file
-// only through its lowercase name.
-func spOptimalBruteForce(t spindex.SP, path traj.Path) int {
-	n := len(path)
-	if n <= 2 {
-		return n
-	}
-	// best[i] = minimal compressed length of path[:i+1] with path[i] retained.
-	best := make([]int, n)
-	for i := range best {
-		best[i] = 1 << 30
-	}
-	best[0] = 1
-	for i := 1; i < n; i++ {
-		// j is the previous retained index; the run path[j..i] must equal
-		// the canonical shortest path from path[j] to path[i].
-		for j := i - 1; j >= 0; j-- {
-			if pathEqualsSP(t, path[j:i+1]) && best[j]+1 < best[i] {
-				best[i] = best[j] + 1
-			}
-		}
-	}
-	return best[n-1]
-}
-
-// pathEqualsSP reports whether the edge run is exactly the canonical
-// shortest path between its endpoints.
-func pathEqualsSP(t spindex.SP, run traj.Path) bool {
-	sp := t.Path(run[0], run[len(run)-1])
-	if len(sp) != len(run) {
-		return false
-	}
-	for i := range sp {
-		if sp[i] != run[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -161,3 +161,66 @@ func TestSPDecompressUnreachable(t *testing.T) {
 		t.Error("unreachable pair accepted")
 	}
 }
+
+// spCompressReference is Algorithm 1 as a batch loop over the whole path,
+// kept as the oracle the streaming OnlineSP (and so SPCompress) is checked
+// against.
+func spCompressReference(t spindex.SP, path traj.Path) traj.Path {
+	n := len(path)
+	if n <= 2 {
+		return path.Clone()
+	}
+	out := make(traj.Path, 0, 4)
+	out = append(out, path[0])
+	s := t.From(path[0])
+	for i := 1; i <= n-2; i++ {
+		if s.SPEnd(path[i+1]) != path[i] {
+			out = append(out, path[i])
+			s.Close()
+			s = t.From(path[i])
+		}
+	}
+	s.Close()
+	return append(out, path[n-1])
+}
+
+// spOptimalBruteForce computes, by dynamic programming over retained-edge
+// subsets, the minimum possible length of an SP-compressed form of path:
+// the oracle for Theorem 1.
+func spOptimalBruteForce(t spindex.SP, path traj.Path) int {
+	n := len(path)
+	if n <= 2 {
+		return n
+	}
+	// best[i] = minimal compressed length of path[:i+1] with path[i] retained.
+	best := make([]int, n)
+	for i := range best {
+		best[i] = 1 << 30
+	}
+	best[0] = 1
+	for i := 1; i < n; i++ {
+		// j is the previous retained index; the run path[j..i] must equal
+		// the canonical shortest path from path[j] to path[i].
+		for j := i - 1; j >= 0; j-- {
+			if pathEqualsSP(t, path[j:i+1]) && best[j]+1 < best[i] {
+				best[i] = best[j] + 1
+			}
+		}
+	}
+	return best[n-1]
+}
+
+// pathEqualsSP reports whether the edge run is exactly the canonical
+// shortest path between its endpoints.
+func pathEqualsSP(t spindex.SP, run traj.Path) bool {
+	sp := t.Path(run[0], run[len(run)-1])
+	if len(sp) != len(run) {
+		return false
+	}
+	for i := range sp {
+		if sp[i] != run[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -6,8 +6,6 @@ import (
 	"math"
 
 	"press/internal/geo"
-	"press/internal/roadnet"
-	"press/internal/traj"
 )
 
 // BoundingSummary is the cheap per-record filter for compressed-domain
@@ -53,21 +51,4 @@ func UnmarshalBoundingSummary(b []byte) (*BoundingSummary, error) {
 		MBR: geo.MBR{MinX: f(0), MinY: f(1), MaxX: f(2), MaxY: f(3)},
 		T0:  f(4), T1: f(5),
 	}, nil
-}
-
-// SummarizeTrajectory derives the summary for a (path, temporal) pair. The
-// MBR is the union of the per-edge geometry MBRs — the same point set as
-// the concatenated path polyline, so the bounds are bit-identical to
-// computing the polyline first without materializing it. An empty temporal
-// sequence yields an inverted (never-overlapping) time interval.
-func SummarizeTrajectory(g *roadnet.Graph, path traj.Path, temporal traj.Temporal) *BoundingSummary {
-	m := geo.EmptyMBR()
-	for _, id := range path {
-		m.ExtendMBR(g.Edge(id).MBR())
-	}
-	s := &BoundingSummary{MBR: m, T0: math.Inf(1), T1: math.Inf(-1)}
-	if n := len(temporal); n > 0 {
-		s.T0, s.T1 = temporal[0].T, temporal[n-1].T
-	}
-	return s
 }

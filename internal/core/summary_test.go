@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"press/internal/geo"
-	"press/internal/roadnet"
 	"press/internal/traj"
 )
 
@@ -34,8 +33,8 @@ func TestCompressAttachesSummary(t *testing.T) {
 	}
 }
 
-// The online compressor's summary must match the batch path's exactly —
-// same raw edges, same min/max folds.
+// The online compressor's summary must match the reference's exactly: the
+// path polyline's MBR and the retained sequence's time bounds.
 func TestOnlineSummaryMatchesBatch(t *testing.T) {
 	c, genPath, rng := testCompressor(t, 50, 30)
 	o, err := NewOnlineCompressor(c)
@@ -44,7 +43,7 @@ func TestOnlineSummaryMatchesBatch(t *testing.T) {
 	}
 	for trial := 0; trial < 60; trial++ {
 		tr := synthTrajectory(c, genPath(rng.Intn(25)+1), rng)
-		want, err := c.Compress(tr)
+		want, err := compressReference(c, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +77,7 @@ func TestBoundingSummaryMarshalRoundTrip(t *testing.T) {
 		}
 	}
 	// Inverted (empty) time bounds — the infinities — must survive too.
-	empty := SummarizeTrajectory(&roadnet.Graph{}, nil, nil)
+	empty := emptySummary(t)
 	b := empty.Marshal()
 	got, err := UnmarshalBoundingSummary(b[:])
 	if err != nil {
@@ -106,8 +105,18 @@ func TestBoundingSummaryOverlaps(t *testing.T) {
 		}
 	}
 	// Empty temporal: never alive, exactly like the fleet-index semantics.
-	empty := SummarizeTrajectory(&roadnet.Graph{}, nil, traj.Temporal{})
-	if empty.Overlaps(0, 1e18) {
+	if emptySummary(t).Overlaps(0, 1e18) {
 		t.Error("empty summary overlaps everything")
 	}
+}
+
+// emptySummary is the summary Compress attaches to an empty trajectory.
+func emptySummary(t *testing.T) *BoundingSummary {
+	t.Helper()
+	c, _, _ := testCompressor(t, 0, 0)
+	ct, err := c.Compress(&traj.Trajectory{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ct.Summary
 }

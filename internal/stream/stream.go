@@ -221,48 +221,6 @@ func (m *Manager) get(id uint64) (*session, error) {
 	return s, nil
 }
 
-// withSession runs fn on the live session for id, retrying if an idle
-// sweep ends the session between lookup and lock (the push then starts a
-// fresh trajectory, which is exactly what a reappearing vehicle means).
-func (m *Manager) withSession(id uint64, fn func(*session) error) error {
-	for {
-		s, err := m.get(id)
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if s.end {
-			s.mu.Unlock()
-			// Raced with a flush that has ended s but may not have unmapped
-			// it yet; help with the removal so the retry makes progress.
-			m.removeSession(s)
-			continue
-		}
-		if err := fn(s); err != nil {
-			return m.refuse(s, err)
-		}
-		s.oc.Park() // an idle session holds no search scratch
-		s.at = time.Now()
-		if max := m.opt.MaxSessionBytes; max > 0 && s.oc.MemoryBytes() > max {
-			// Force-flush under the held lock: the record includes the
-			// point just accepted, so breaching the cap truncates the
-			// trajectory here instead of dropping anything. The next push
-			// for this id opens a fresh session.
-			err := m.flushLocked(s)
-			s.mu.Unlock()
-			m.removeSession(s)
-			m.pushes.Add(1)
-			if err != nil {
-				return errors.Join(ErrSessionTooLarge, err)
-			}
-			return ErrSessionTooLarge
-		}
-		s.mu.Unlock()
-		m.pushes.Add(1)
-		return nil
-	}
-}
-
 // refuse unlocks s after its compressor refused an observation and wraps the
 // refusal in ErrBadObservation. A session left holding nothing ends and is
 // unmapped, so pushes that are all refused leave no session behind.
@@ -279,15 +237,19 @@ func (m *Manager) refuse(s *session, err error) error {
 }
 
 // PushEdge feeds the next edge vehicle id traversed, opening the session if
-// necessary. A refused edge returns ErrBadObservation.
+// necessary. A refused edge returns ErrBadObservation; NoEdge is refused
+// too, since here it can only mean an edge outside the network.
 func (m *Manager) PushEdge(id uint64, e roadnet.EdgeID) error {
-	return m.withSession(id, func(s *session) error { return s.oc.PushEdge(e) })
+	if e == roadnet.NoEdge {
+		return fmt.Errorf("%w: edge %d is no edge", ErrBadObservation, e)
+	}
+	return m.push(id, Obs{Edge: e})
 }
 
 // PushSample feeds vehicle id's next (d, t) tuple, opening the session if
 // necessary. A refused tuple returns ErrBadObservation.
 func (m *Manager) PushSample(id uint64, p traj.Entry) error {
-	return m.withSession(id, func(s *session) error { return s.oc.PushSample(p) })
+	return m.push(id, Obs{Edge: roadnet.NoEdge, Sample: p, HasSample: true})
 }
 
 // Push feeds one combined observation: the edge the vehicle just entered
@@ -295,7 +257,13 @@ func (m *Manager) PushSample(id uint64, p traj.Entry) error {
 // already-recorded edge. A refused observation returns ErrBadObservation
 // and applies neither part.
 func (m *Manager) Push(id uint64, e roadnet.EdgeID, p traj.Entry) error {
-	return m.withSession(id, func(s *session) error { return s.oc.Push(e, p, true) })
+	return m.push(id, Obs{Edge: e, Sample: p, HasSample: true})
+}
+
+// push is a one-observation PushBatch.
+func (m *Manager) push(id uint64, o Obs) error {
+	_, err := m.PushBatch(id, []Obs{o})
+	return err
 }
 
 // Obs is one observation for the batched push path: the edge the vehicle
@@ -310,19 +278,18 @@ type Obs struct {
 
 // PushBatch feeds a batch of observations for vehicle id under a single
 // session-lock acquisition — the serving hot path behind the binary wire
-// protocol. It is closure-free and allocation-free in steady state (the
-// only allocations are the session's own retained-element growth), unlike
-// the per-point Push methods whose captured arguments may escape.
+// protocol, and the one push path: PushEdge, PushSample and Push are
+// one-observation batches. It is allocation-free in steady state (the only
+// allocations are the session's own retained-element growth).
 //
-// Per-point semantics are identical to Push: each observation is applied in
-// order, and a point that drives the session past Options.MaxSessionBytes
-// force-flushes the session *including* that point. PushBatch then returns
-// the number of observations applied (the breaching point is the last) and
-// ErrSessionTooLarge — match with errors.Is; a joined flush failure means
-// the cut trajectory was dropped, not stored. An observation the compressor
-// refuses stops the batch: PushBatch returns the number applied before it
-// and ErrBadObservation, and the session lock is released. On success it
-// returns (len(obs), nil).
+// Each observation is applied in order, and a point that drives the session
+// past Options.MaxSessionBytes force-flushes the session *including* that
+// point. PushBatch then returns the number of observations applied (the
+// breaching point is the last) and ErrSessionTooLarge — match with
+// errors.Is; a joined flush failure means the cut trajectory was dropped,
+// not stored. An observation the compressor refuses stops the batch:
+// PushBatch returns the number applied before it and ErrBadObservation,
+// and the session lock is released. On success it returns (len(obs), nil).
 func (m *Manager) PushBatch(id uint64, obs []Obs) (int, error) {
 	if len(obs) == 0 {
 		m.mu.Lock()
@@ -344,8 +311,11 @@ func (m *Manager) PushBatch(id uint64, obs []Obs) (int, error) {
 		s.mu.Lock()
 		if s.end {
 			s.mu.Unlock()
-			// Raced with a flush that ended s; help unmap it and retry —
-			// same recovery as withSession.
+			// Raced with a flush that has ended s but may not have unmapped
+			// it yet (an idle sweep between lookup and lock); help with the
+			// removal so the retry makes progress. The push then starts a
+			// fresh trajectory, which is exactly what a reappearing vehicle
+			// means.
 			m.removeSession(s)
 			continue
 		}
@@ -359,6 +329,10 @@ func (m *Manager) PushBatch(id uint64, obs []Obs) (int, error) {
 				return i, m.refuse(s, err)
 			}
 			if maxBytes > 0 && s.oc.MemoryBytes() > maxBytes {
+				// Force-flush under the held lock: the record includes the
+				// point just accepted, so breaching the cap truncates the
+				// trajectory here instead of dropping anything. The next
+				// push for this id opens a fresh session.
 				err := m.flushLocked(s)
 				s.mu.Unlock()
 				m.removeSession(s)
@@ -426,8 +400,8 @@ func (m *Manager) flushLocked(s *session) error {
 }
 
 // removeSession drops s from the map if it is still the live session for
-// its id; idempotent, also called by withSession when a push finds an
-// ended session that has not been unmapped yet.
+// its id; idempotent, also called by PushBatch when it finds an ended
+// session that has not been unmapped yet.
 func (m *Manager) removeSession(s *session) {
 	m.mu.Lock()
 	if cur, ok := m.sessions[s.id]; ok && cur == s {
